@@ -1,9 +1,16 @@
 (* Certificate AST + S-expression (de)serialization.  See the .mli for the
    documented grammar.  The encoder hash-conses every node (ops, terms,
    rules, rule sets, derivations) into id-indexed tables, so certificates
-   are DAG-compact regardless of how much sharing the producer achieved;
-   the decoder only ever resolves ids that are already defined (references
-   point backwards), which makes cyclic certificates unrepresentable. *)
+   are DAG-compact regardless of how much sharing the producer achieved.
+   Terms, rule sets and derivations are also memoized by physical
+   identity, so each physically distinct node is walked once: a rule is
+   re-interned once per physically distinct rule set, step or LPO entry
+   naming it, not once per red or join that reaches it.  Encoding is
+   therefore linear in the number of physically distinct nodes, up to the
+   memo's bucket scans (its hash is structural and bounded, so physical
+   copies of one node share a bucket).  The decoder only ever resolves ids
+   that are already defined (references point backwards), which makes
+   cyclic certificates unrepresentable. *)
 
 type flag = Ac | Comm | Tt | Ff | Not | And | Or | Xor | Implies | Iff | If | Eq
 
@@ -91,8 +98,10 @@ let flag_of_name = function
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
 
-(* Physical-identity memo table: cuts DAG re-walks so encoding is linear in
-   the number of distinct nodes. *)
+(* Physical-identity memo tables: cut DAG re-walks.  Terms and derivations
+   share subtrees, and a campaign's reds and joins name rule sets whose
+   parent chains all end in one flat base set of about a thousand rules;
+   without a rule-set memo every red and join re-walks its whole chain. *)
 module Phys = Hashtbl.Make (struct
   type t = Obj.t
 
@@ -129,6 +138,7 @@ let to_sexp (cert : t) : Sexp.t =
   let rsets = interner () in
   let derivs = interner () in
   let term_phys : int Phys.t = Phys.create 4096 in
+  let rset_phys : int Phys.t = Phys.create 256 in
   let deriv_phys : int Phys.t = Phys.create 4096 in
   let op_id (o : op) =
     intern ops
@@ -192,11 +202,18 @@ let to_sexp (cert : t) : Sexp.t =
           @ match cid with None -> [] | Some c -> [ atom_int c ]))
   in
   let rec rset_id (rs : rset) =
-    let pid = match rs.rs_parent with None -> -1 | Some p -> rset_id p in
-    let rids = List.map rule_id rs.rs_rules in
-    intern rsets (pid, rids) (fun id ->
-        Sexp.List
-          ([ Sexp.Atom "rs"; atom_int id; atom_int pid ] @ List.map atom_int rids))
+    match Phys.find_opt rset_phys (Obj.repr rs) with
+    | Some id -> id
+    | None ->
+      let pid = match rs.rs_parent with None -> -1 | Some p -> rset_id p in
+      let rids = List.map rule_id rs.rs_rules in
+      let id =
+        intern rsets (pid, rids) (fun id ->
+            Sexp.List
+              ([ Sexp.Atom "rs"; atom_int id; atom_int pid ] @ List.map atom_int rids))
+      in
+      Phys.replace rset_phys (Obj.repr rs) id;
+      id
   in
   let rec deriv_id (d : deriv) =
     match Phys.find_opt deriv_phys (Obj.repr d) with

@@ -57,10 +57,22 @@ let mono_mul (m : monomial) (n : monomial) : monomial =
   in
   merge m n
 
+(* Mod-2 sum of a multiset of monomials: sort, then cancel equal pairs
+   ([x xor x = false]).  The sort is the only super-linear step. *)
+let sum (ms : monomial list) : t =
+  let rec cancel acc = function
+    | m :: (n :: rest' as rest) ->
+      if mono_compare m n = 0 then cancel acc rest' else cancel (m :: acc) rest
+    | [ m ] -> List.rev (m :: acc)
+    | [] -> List.rev acc
+  in
+  cancel [] (List.sort mono_compare ms)
+
 let and_ (p : t) (q : t) : t =
-  List.fold_left
-    (fun acc m -> List.fold_left (fun acc n -> xor_ acc [ mono_mul m n ]) acc q)
-    fls p
+  match p, q with
+  | [], _ | _, [] -> fls
+  | [ [] ], r | r, [ [] ] -> r
+  | _ -> sum (List.concat_map (fun m -> List.map (mono_mul m) q) p)
 
 let not_ p = xor_ tru p
 let or_ p q = xor_ (xor_ p q) (and_ p q)
@@ -87,7 +99,7 @@ let rec of_term t =
     iff_ (of_term a) (of_term b)
   | Term.App (o, [ c; a; b ]) when B.is_if o && Sort.equal (Term.sort t) Sort.bool ->
     let c = of_term c and a = of_term a and b = of_term b in
-    xor_ (xor_ (and_ c a) (and_ c b)) b
+    xor_ (and_ c (xor_ a b)) b
   | Term.App _ | Term.Var _ -> atom t
 
 let mono_to_term = function
@@ -104,19 +116,13 @@ let atoms_of (p : t) =
 
 let atoms t = atoms_of (of_term t)
 
-let map_atoms f (p : t) : t =
-  List.fold_left
-    (fun acc m ->
-      let product = List.fold_left (fun q a -> and_ q (f a)) tru m in
-      xor_ acc product)
-    fls p
-
+(* [at := false] drops the monomials containing [at], which leaves the list
+   canonical; [at := true] strips [at] from them, which can reorder and
+   duplicate monomials, so the result is re-summed. *)
 let assign p at value =
   let at = match canonical_atom at with None -> at | Some a -> a in
-  map_atoms
-    (fun a ->
-      if Term.equal a at then if value then tru else fls else [ [ a ] ])
-    p
+  if value then sum (List.map (List.filter (fun a -> not (Term.equal a at))) p)
+  else List.filter (fun m -> not (List.exists (Term.equal at) m)) p
 
 let tautology t = is_true (of_term t)
 let count_monomials (p : t) = List.length p

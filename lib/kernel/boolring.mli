@@ -26,8 +26,14 @@ val fls : t
     @raise Invalid_argument if [t] is not of sort [Bool]. *)
 val atom : Term.t -> t
 
+(** [xor_ p q] merges the two sorted monomial lists, cancelling common
+    monomials: O(|p| + |q|). *)
 val xor_ : t -> t -> t
+
+(** [and_ p q] forms the k = |p|·|q| monomial products, sorts them and
+    cancels equal pairs (mod 2): O(k log k) monomial comparisons. *)
 val and_ : t -> t -> t
+
 val or_ : t -> t -> t
 val not_ : t -> t
 val implies_ : t -> t -> t
@@ -54,12 +60,10 @@ val atoms : Term.t -> Term.t list
 val atoms_of : t -> Term.t list
 
 (** [assign p atom value] specializes [p] under [atom := value] and
-    renormalizes. *)
+    renormalizes: the monomials mentioning [atom] are dropped ([false]), or
+    stripped of it and the result sorted and cancelled ([true]):
+    O(|p| log |p|). *)
 val assign : t -> Term.t -> bool -> t
-
-(** [map_atoms f p] rebuilds [p] with every atom [a] replaced by the formula
-    [f a] (used to renormalize atoms after a substitution). *)
-val map_atoms : (Term.t -> t) -> t -> t
 
 (** [tautology t] decides propositional validity of [t]: its polynomial is
     [true]. *)

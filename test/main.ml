@@ -46,6 +46,7 @@ let () =
          Test_kernel.suite;
          Test_hashcons.suite;
          Test_differential.suite;
+         Test_boolring.suite;
          Test_completion.suite;
          Test_matching_props.suite;
          Test_dolevyao.suite;

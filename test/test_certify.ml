@@ -234,6 +234,201 @@ let test_join_cert () =
   expect_reject "unjoined" bad ~path:"join t1" ~msg:"distinct terms"
 
 (* ------------------------------------------------------------------ *)
+(* Encoder: rule-set sharing and a byte-exact golden *)
+
+let section name text =
+  match Certify.Sexp.parse_one text with
+  | Ok (Certify.Sexp.List (_ :: sections)) -> (
+    match
+      List.find_map
+        (function
+          | Certify.Sexp.List (Certify.Sexp.Atom n :: entries) when n = name -> Some entries
+          | _ -> None)
+        sections
+    with
+    | Some entries -> entries
+    | None -> Alcotest.failf "certificate has no %s section" name)
+  | Ok _ -> Alcotest.fail "certificate is not an (eqcert ...) list"
+  | Error m -> Alcotest.failf "certificate does not parse: %s" m
+
+(* Reds on every level of one deep rule-set chain over a flat base set,
+   joins sharing that flat set, and two structurally equal but physically
+   distinct rule sets: every distinct rule set is emitted exactly once, and
+   the text decodes back to an equal certificate. *)
+let test_rset_sharing () =
+  let op name arity =
+    { C.op_name = name; op_arity = arity; op_sort = "TcNat"; op_flags = [] }
+  in
+  let const name = C.A (op name [], []) in
+  let rule label lhs = { C.r_label = label; r_lhs = lhs; r_rhs = const "k0"; r_cond = None } in
+  let base_rule i =
+    let lhs = C.A (op "tcF" [ "TcNat" ], [ const (Printf.sprintf "k%d" i) ]) in
+    rule (Printf.sprintf "b%d" i) lhs
+  in
+  let base_size = 200 and depth = 300 in
+  let base = { C.rs_parent = None; rs_rules = List.init base_size base_rule } in
+  let chain = Array.make (depth + 1) base in
+  for i = 1 to depth do
+    chain.(i) <-
+      {
+        C.rs_parent = Some chain.(i - 1);
+        rs_rules = [ rule (Printf.sprintf "g%d" i) (const (Printf.sprintf "c%d" i)) ];
+      }
+  done;
+  let twin () = { C.rs_parent = None; rs_rules = [ base_rule 0; base_rule 1 ] } in
+  let t = const "k0" in
+  let triv = { C.d_in = t; d_out = t; d_node = C.Triv } in
+  let red i rs =
+    let red_name = Printf.sprintf "r%d" i in
+    { C.red_name; red_rset = rs; red_in = t; red_out = t; red_deriv = triv }
+  in
+  let join i rs =
+    {
+      C.j_label = Printf.sprintf "j%d" i;
+      j_rset = rs;
+      j_peak = t;
+      j_left = t;
+      j_right = t;
+      j_cert = { C.jc_left = triv; jc_right = triv; jc_tail = C.Jsyn };
+    }
+  in
+  let cert =
+    {
+      C.reds =
+        List.init (2 * (depth + 1)) (fun i -> red i chain.(depth - (i mod (depth + 1))))
+        @ [ red (-1) (twin ()) ];
+      lpo = None;
+      joins = List.init 500 (fun i -> join i base) @ [ join (-1) (twin ()) ];
+    }
+  in
+  let text = C.to_string cert in
+  let rsets = section "rsets" text in
+  Alcotest.(check int) "one entry per distinct rule set" (depth + 2) (List.length rsets);
+  Alcotest.(check int) "no rule set emitted twice" (depth + 2)
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (function
+               | Certify.Sexp.List (_ :: _ :: body) -> body
+               | _ -> Alcotest.fail "malformed rs entry")
+             rsets)));
+  Alcotest.(check int) "one entry per distinct rule" (base_size + depth)
+    (List.length (section "rules" text));
+  match C.of_string text with
+  | Error m -> Alcotest.failf "encoded certificate does not decode: %s" m
+  | Ok cert' ->
+    Alcotest.(check bool) "round-trip is equal" true (C.equal cert cert');
+    Alcotest.(check string) "re-encoding is byte-identical" text (C.to_string cert')
+
+(* A small hand-built certificate touching every node kind: flagged ops,
+   variables, a conditional rule, a rule-set chain, trivial and app
+   derivations with a permutation, a step with a substitution and a
+   condition discharge, an LPO section and a split join. *)
+let golden_cert () =
+  let op ?(flags = []) name arity sort =
+    { C.op_name = name; op_arity = arity; op_sort = sort; op_flags = flags }
+  in
+  let n = "TcNat" in
+  let z = C.A (op "tcZ" [] n, []) in
+  let s t = C.A (op "tcS" [ n ] n, [ t ]) in
+  let plus a b = C.A (op "tcP" [ n; n ] n, [ a; b ]) in
+  let u a b = C.A (op ~flags:[ C.Ac ] "tcU" [ n; n ] n, [ a; b ]) in
+  let isz t = C.A (op "tcIsz" [ n ] "Bool", [ t ]) in
+  let tt = C.A (op ~flags:[ C.Tt ] "true" [] "Bool", []) in
+  let ca = C.A (op "tcA" [] n, []) and cb = C.A (op "tcB" [] n, []) in
+  let vm = C.V { v_name = "M"; v_sort = n } and vn = C.V { v_name = "N"; v_sort = n } in
+  let rule ?cond label lhs rhs =
+    { C.r_label = label; r_lhs = lhs; r_rhs = rhs; r_cond = cond }
+  in
+  let p0 = rule "tc-p0" (plus z vn) vn in
+  let ps = rule "tc-ps" (plus (s vm) vn) (s (plus vm vn)) in
+  let iszr = rule "tc-isz" (isz z) tt in
+  let gate = rule ~cond:(isz vn) "tc-gate" (plus vn vn) z in
+  let base = { C.rs_parent = None; rs_rules = [ p0; ps; iszr; gate ] } in
+  let child = { C.rs_parent = Some base; rs_rules = [ rule "ground" ca cb ] } in
+  let triv t = { C.d_in = t; d_out = t; d_node = C.Triv } in
+  let app ?perm ?step d_in d_out children =
+    { C.d_in; d_out; d_node = C.App { children; perm; step } }
+  in
+  let step ?cond r sub next = { C.s_rule = r; s_sub = sub; s_cond = cond; s_next = next } in
+  (* tcP(tcZ, tcZ) -> tcZ by tc-p0 *)
+  let d_p0 = app (plus z z) z [] ~step:(step p0 [ "N", n, z ] (triv z)) in
+  (* tcP(tcS(tcZ), tcZ) -> tcS(tcP(tcZ, tcZ)) -> tcS(tcZ) *)
+  let d_ps =
+    app (plus (s z) z) (s z) []
+      ~step:(step ps [ "M", n, z; "N", n, z ] (app (s (plus z z)) (s z) [ d_p0 ]))
+  in
+  let d_isz = app (isz z) tt [] ~step:(step iszr [] (triv tt)) in
+  let d_gate = app (plus z z) z [] ~step:(step ~cond:d_isz gate [ "N", n, z ] (triv z)) in
+  let d_perm = app (u cb ca) (u ca cb) [ triv cb; triv ca ] ~perm:[ 1; 0 ] in
+  let red name rs d =
+    { C.red_name = name; red_rset = rs; red_in = d.C.d_in; red_out = d.C.d_out; red_deriv = d }
+  in
+  {
+    C.reds =
+      [
+        red "r0" child d_ps; red "r1" base d_gate; red "r2" child d_perm; red "r3" base (triv ca);
+      ];
+    lpo =
+      Some
+        {
+          C.lpo_prec = [ op "tcP" [ n; n ] n; op "tcS" [ n ] n; op "tcZ" [] n ];
+          lpo_rules = [ p0; ps ];
+        };
+    joins =
+      [
+        {
+          C.j_label = "j0";
+          j_rset = base;
+          j_peak = plus (s z) z;
+          j_left = s z;
+          j_right = s z;
+          j_cert =
+            {
+              C.jc_left = triv (s z);
+              jc_right = triv (s z);
+              jc_tail =
+                C.Jsplit
+                  ( isz ca,
+                    { C.jc_left = triv (s z); jc_right = triv (s z); jc_tail = C.Jsyn },
+                    { C.jc_left = d_ps; jc_right = triv (s z); jc_tail = C.Jring } );
+            };
+        };
+      ];
+  }
+
+(* Recorded before rule sets were memoized by identity: pins the id order
+   of every section, which the memo must not change. *)
+let golden_text =
+  String.concat " "
+    [
+      "(eqcert (version 1) (ops (op 0 tcP (TcNat TcNat) TcNat) (op 1 tcZ ()";
+      "TcNat) (op 2 tcS (TcNat) TcNat) (op 3 tcIsz (TcNat) Bool) (op 4 true ()";
+      "Bool tt) (op 5 tcA () TcNat) (op 6 tcB () TcNat) (op 7 tcU (TcNat TcNat)";
+      "TcNat ac)) (terms (t 0 a 1) (t 1 v N TcNat) (t 2 a 0 0 1) (t 3 v M";
+      "TcNat) (t 4 a 2 3) (t 5 a 0 4 1) (t 6 a 0 3 1) (t 7 a 2 6) (t 8 a 3 0)";
+      "(t 9 a 4) (t 10 a 0 1 1) (t 11 a 3 1) (t 12 a 5) (t 13 a 6) (t 14 a 2 0)";
+      "(t 15 a 0 14 0) (t 16 a 0 0 0) (t 17 a 2 16) (t 18 a 7 13 12) (t 19 a 7";
+      "12 13) (t 20 a 3 12)) (rules (rule 0 tc-p0 2 1) (rule 1 tc-ps 5 7) (rule";
+      "2 tc-isz 8 9) (rule 3 tc-gate 10 0 11) (rule 4 ground 12 13)) (rsets (rs";
+      "0 -1 0 1 2 3) (rs 1 0 4)) (derivs (d 0 triv 0) (d 1 app 16 0 () (step 0";
+      "(sub (N TcNat 0)) 0)) (d 2 app 17 14 (1)) (d 3 app 15 14 () (step 1 (sub";
+      "(M TcNat 0) (N TcNat 0)) 2)) (d 4 triv 9) (d 5 app 8 9 () (step 2 (sub)";
+      "4)) (d 6 app 16 0 () (step 3 (sub (N TcNat 0)) (cond 5) 0)) (d 7 triv";
+      "13) (d 8 triv 12) (d 9 app 18 19 (7 8) (perm 1 0)) (d 10 triv 14)) (reds";
+      "(red r0 1 15 14 3) (red r1 0 16 0 6) (red r2 1 18 19 9) (red r3 0 12 12";
+      "8)) (lpo (prec 0 2 1) (rules 0 1)) (joins (join j0 0 15 14 14 (j 10 10";
+      "(split 20 (j 10 10 syn) (j 3 10 ring))))))";
+    ]
+
+let test_golden_encoding () =
+  let text = C.to_string (golden_cert ()) in
+  Alcotest.(check string) "byte-exact encoding" golden_text text;
+  match C.of_string text with
+  | Error m -> Alcotest.failf "golden certificate does not decode: %s" m
+  | Ok cert -> Alcotest.(check bool) "golden round-trips" true (C.equal (golden_cert ()) cert)
+
+(* ------------------------------------------------------------------ *)
 (* Serialization fuzz: random certificates (weird atom spellings
    included) must round-trip to structurally identical values. *)
 
@@ -306,5 +501,7 @@ let suite =
       "tamper: bogus AC permutation", `Quick, test_tamper_bogus_perm;
       "LPO certificate and reversed precedence", `Quick, test_lpo_cert;
       "join certificate and unjoined tamper", `Quick, test_join_cert;
+      "encoder emits each rule set once", `Quick, test_rset_sharing;
+      "encoder golden bytes", `Quick, test_golden_encoding;
       QCheck_alcotest.to_alcotest prop_roundtrip;
     ] )
