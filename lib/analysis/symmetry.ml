@@ -14,19 +14,6 @@ type result = {
           the first breaking rule *)
 }
 
-(* Map constants through a transposition, rebuilding the term. *)
-let swap_consts c d t =
-  let rec go t =
-    match Term.view t with
-    | Term.Var _ -> t
-    | Term.App (o, []) ->
-      if Signature.op_equal o c then Term.const d
-      else if Signature.op_equal o d then Term.const c
-      else t
-    | Term.App (o, args) -> Term.app_unchecked o (List.map go args)
-  in
-  go t
-
 (* The rule set as a hash set of (lhs, rhs, cond) identity triples — terms
    are hash-consed, so membership of a mapped rule is O(1). *)
 let rule_set rules =
@@ -46,11 +33,13 @@ let rule_set rules =
    again a rule (labels ignored: [distinct_constants] emits the symmetric
    axioms under per-pair labels).  Returns the first breaking rule. *)
 let breaks rules set c d =
+  let c = Term.const c and d = Term.const d in
+  let swap = Term.rename [ c, d; d, c ] in
   List.find_opt
     (fun (r : Rewrite.rule) ->
-      let lhs = swap_consts c d r.Rewrite.lhs in
-      let rhs = swap_consts c d r.Rewrite.rhs in
-      let cond = Option.map (swap_consts c d) r.Rewrite.cond in
+      let lhs = swap r.Rewrite.lhs in
+      let rhs = swap r.Rewrite.rhs in
+      let cond = Option.map swap r.Rewrite.cond in
       not (Hashtbl.mem set (Term.id lhs, Term.id rhs, Option.map Term.id cond)))
     rules
 
@@ -173,6 +162,52 @@ let orbit_elems r ~candidates =
   match List.sort (fun a b -> compare (List.length b) (List.length a)) best with
   | pool :: _ when List.length pool >= 2 -> pool
   | _ -> []
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (fun y -> y != x) l)))
+      l
+
+(* Orbit minimization: the representative is the first image, in the
+   order of [permutations pool], with the smallest key — idempotent by
+   construction.  Permutations that agree on the pool constants occurring
+   in the state give the same image, so each distinct image is remapped
+   and keyed once, and the identity's image (the state itself) never is:
+   neither can beat an earlier candidate under the strict [<]. *)
+let canonizer pool ~iter_terms ~remap ~key =
+  if List.length pool < 2 then fun st -> st
+  else
+    let perms = List.map (List.combine pool) (permutations pool) in
+    let same m1 m2 = List.equal (fun (c, d) (c', d') -> c == c' && d == d') m1 m2 in
+    fun st ->
+      let occurring = ref [] in
+      let rec scan t =
+        match Term.view t with
+        | Term.App (_, []) ->
+          if List.memq t pool && not (List.memq t !occurring) then
+            occurring := t :: !occurring
+        | Term.App (_, args) -> List.iter scan args
+        | Term.Var _ -> ()
+      in
+      iter_terms scan st;
+      let best = ref st and best_key = ref (lazy (key st)) and tried = ref [] in
+      List.iter
+        (fun perm ->
+          match List.filter (fun (c, d) -> c != d && List.memq c !occurring) perm with
+          | [] -> ()
+          | map when List.exists (same map) !tried -> ()
+          | map ->
+            tried := map :: !tried;
+            let st' = remap (Term.rename map) st in
+            let k' = key st' in
+            if String.compare k' (Lazy.force !best_key) < 0 then begin
+              best := st';
+              best_key := Lazy.from_val k'
+            end)
+        perms;
+      !best
 
 (* ------------------------------------------------------------------ *)
 (* Certificate                                                         *)

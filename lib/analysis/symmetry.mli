@@ -37,6 +37,24 @@ val analyze : Cafeobj.Spec.t -> result
     drawing interchangeable fresh values from [candidates]. *)
 val orbit_elems : result -> candidates:Term.t list -> Term.t list
 
+(** [canonizer pool ~iter_terms ~remap ~key] canonizes states over the
+    permutations of the constants [pool] (an {!orbit_elems} result).  A
+    state's representative is the first of its images, the permutations
+    taken in a fixed order, with the smallest [key]; canonization is
+    therefore idempotent.  [iter_terms f st] must apply [f] to every term
+    of [st] that [remap] acts on, and [remap g st] must rebuild [st] with
+    [g] applied to each of them.  Each distinct image is remapped and keyed
+    once: permutations that agree on the pool constants occurring in [st]
+    share an image, and the identity's image, [st] itself, is skipped.
+    The identity when [pool] has fewer than two elements. *)
+val canonizer :
+  Term.t list ->
+  iter_terms:((Term.t -> unit) -> 's -> unit) ->
+  remap:((Term.t -> Term.t) -> 's -> 's) ->
+  key:('s -> string) ->
+  's ->
+  's
+
 val certificate : result -> Certify.Sexp.t
 
 (** Replay the certificate: every transposition within every claimed

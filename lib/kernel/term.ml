@@ -300,34 +300,63 @@ let rec occurs ~inside t =
   | Var _ -> false
   | App (_, args) -> List.exists (fun a -> occurs ~inside:a t) args
 
-let rec replace ~old ~by t =
-  if t == old then by
-  else
-    match t.node with
-    | Var _ -> t
-    | App (o, args) ->
-      let args' = List.map (replace ~old ~by) args in
-      if List.for_all2 ( == ) args args' then t else app_unchecked o args'
+(* [map_args f args] is [List.map f args], physically [args] when [f]
+   returns every element unchanged — the unchanged path allocates nothing. *)
+let rec map_args f args =
+  match args with
+  | [] -> args
+  | a :: rest ->
+    let a' = f a in
+    let rest' = map_args f rest in
+    if a' == a && rest' == rest then args else a' :: rest'
 
 let map_children f t =
   match t.node with
   | Var _ -> t
   | App (o, args) ->
-    let args' = List.map f args in
-    if List.for_all2 ( == ) args args' then t else app_unchecked o args'
+    let args' = map_args f args in
+    if args' == args then t else app_unchecked o args'
 
-let rec pp ppf t =
+let rec replace ~old ~by t = if t == old then by else map_children (replace ~old ~by) t
+
+let rename map t =
+  match map with
+  | [] -> t
+  | _ ->
+    let rec go t =
+      match t.node with
+      | App (_, []) -> ( match List.assq_opt t map with Some d -> d | None -> t)
+      | Var _ | App _ -> map_children go t
+    in
+    go t
+
+let rec add_to_buffer b t =
   match t.node with
-  | Var v -> Format.fprintf ppf "%s:%s" v.v_name v.v_sort.Sort.name
-  | App (o, []) -> Format.pp_print_string ppf o.Signature.name
-  | App (o, args) ->
-    Format.fprintf ppf "%s(%a)" o.Signature.name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp)
-      args
+  | Var v ->
+    Buffer.add_string b v.v_name;
+    Buffer.add_char b ':';
+    Buffer.add_string b v.v_sort.Sort.name
+  | App (o, []) -> Buffer.add_string b o.Signature.name
+  | App (o, a :: args) ->
+    Buffer.add_string b o.Signature.name;
+    Buffer.add_char b '(';
+    add_to_buffer b a;
+    List.iter
+      (fun a ->
+        Buffer.add_string b ", ";
+        add_to_buffer b a)
+      args;
+    Buffer.add_char b ')'
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  match t.node with
+  | App (o, []) -> o.Signature.name
+  | Var _ | App _ ->
+    let b = Buffer.create 64 in
+    add_to_buffer b t;
+    Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* Sets and maps order by [ac_compare], not the raw id order: iteration
    order leaks — model-checker state keys serialize sets, the prover

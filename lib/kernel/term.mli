@@ -138,6 +138,13 @@ val replace : old:t -> by:t -> t -> t
     reusing [t] when every child comes back physically unchanged. *)
 val map_children : (t -> t) -> t -> t
 
+(** [rename map t] is the simultaneous image of [t] under the constant
+    renaming [map], a list of (constant, image) pairs: a permutation of
+    constants is applied in one pass.  Like {!replace}, it returns [t]
+    itself when no renamed constant occurs in it and re-interns only the
+    nodes above a renamed one. *)
+val rename : (t * t) list -> t -> t
+
 (** [intern_table_len ()] is the number of live interned terms — the
     footprint of maximal sharing, exported for bench/stats reporting. *)
 val intern_table_len : unit -> int
@@ -150,10 +157,16 @@ val intern_shard_stats : unit -> int array
 
 (** {1 Printing} *)
 
-(** Prefix pretty-printer: [f(a, b)], variables as [X:Sort]. *)
-val pp : Format.formatter -> t -> unit
-
+(** [to_string t] is the prefix rendering of [t]: [f(a, b)], variables as
+    [X:Sort]. *)
 val to_string : t -> string
+
+(** [add_to_buffer b t] appends [to_string t] to [b]. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [pp] prints {!to_string} as one string: a term never breaks across
+    lines. *)
+val pp : Format.formatter -> t -> unit
 
 (** {!Set} and {!Map} order elements by {!ac_compare} (structure-stable),
     so iteration order does not depend on intern-table allocation

@@ -76,7 +76,7 @@ let flood ~red ~key ~next ~peek s k =
 
 let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction system
     ~stop =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.Probe.now_ns () in
   let red = Option.value reduction ~default:no_reduction in
   let reduced = Option.is_some reduction in
   let seen : (string, 'a node) Hashtbl.t = Hashtbl.create 4096 in
@@ -116,7 +116,7 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction system
       transitions_fired = !transitions;
       states_pruned = !pruned;
       max_depth = !deepest;
-      elapsed = Unix.gettimeofday () -. t0;
+      elapsed = float_of_int (Telemetry.Probe.now_ns () - t0) /. 1e9;
     }
   in
   let peek s = Option.is_some (stop s) in
@@ -189,7 +189,7 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction system
    caches written on one side are visible on the other. *)
 let explore_par ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction
     pool system ~stop =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.Probe.now_ns () in
   let red = Option.value reduction ~default:no_reduction in
   let reduced = Option.is_some reduction in
   let seen : (string, 'a node) Hashtbl.t = Hashtbl.create 4096 in
@@ -228,7 +228,7 @@ let explore_par ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction
       transitions_fired = !transitions;
       states_pruned = !pruned;
       max_depth = !deepest;
-      elapsed = Unix.gettimeofday () -. t0;
+      elapsed = float_of_int (Telemetry.Probe.now_ns () - t0) /. 1e9;
     }
   in
   let peek s = Option.is_some (stop s) in

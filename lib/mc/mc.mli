@@ -53,7 +53,7 @@ type stats = {
       (** enabled ample transitions subsumed by compound steps; also
           accumulated on the [mc.por.pruned] telemetry counter *)
   max_depth : int;
-  elapsed : float;  (** seconds *)
+  elapsed : float;  (** seconds, on the monotonic clock *)
 }
 
 type 'action violation = {

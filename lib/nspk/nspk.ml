@@ -150,20 +150,30 @@ let knowledge st =
     st.kn <- Some k;
     k
 
+let add_run b r =
+  let add = Term.add_to_buffer b in
+  add r.who;
+  Buffer.add_char b '-';
+  add r.peer;
+  Buffer.add_char b '-';
+  add r.na;
+  Buffer.add_char b '-';
+  match r.nb with None -> Buffer.add_char b '_' | Some n -> add n
+
 let run_str r =
-  Printf.sprintf "%s-%s-%s-%s" (Term.to_string r.who) (Term.to_string r.peer)
-    (Term.to_string r.na)
-    (match r.nb with None -> "_" | Some n -> Term.to_string n)
+  let b = Buffer.create 32 in
+  add_run b r;
+  Buffer.contents b
 
 let key st =
   let b = Buffer.create 256 in
-  TS.iter (fun m -> Buffer.add_string b (Term.to_string m)) st.msgs;
+  TS.iter (Term.add_to_buffer b) st.msgs;
   Buffer.add_string b "|";
-  TS.iter (fun m -> Buffer.add_string b (Term.to_string m)) st.used;
+  TS.iter (Term.add_to_buffer b) st.used;
   List.iter
     (fun (tag, runs) ->
       Buffer.add_string b tag;
-      List.iter (fun r -> Buffer.add_string b (run_str r)) runs)
+      List.iter (add_run b) runs)
     [ "|i:", st.istarts; "|r:", st.rruns; "|d:", st.rdones ];
   Buffer.contents b
 
@@ -416,69 +426,28 @@ let analysis variant =
 let independence variant = (analysis variant).an_indep
 let symmetries variant = (analysis variant).an_sym
 
-(* Swap constants through a state: simultaneous image under the
-   permutation [map], rebuilding every stored term. *)
-let remap_term map t =
-  let rec go t =
-    match Term.view t with
-    | Term.Var _ -> t
-    | Term.App (_, []) -> (
-      match List.find_opt (fun (c, _) -> Term.equal c t) map with
-      | Some (_, d) -> d
-      | None -> t)
-    | Term.App (o, args) -> Term.app_unchecked o (List.map go args)
-  in
-  go t
+(* The terms a permutation of the honest nonces acts on: the network, the
+   used nonces and the runs' nonces. *)
+let iter_terms f st =
+  TS.iter f st.msgs;
+  TS.iter f st.used;
+  List.iter
+    (List.iter (fun r ->
+         f r.na;
+         Option.iter f r.nb))
+    [ st.istarts; st.rruns; st.rdones ]
 
-let remap_run map r =
+let remap_state f st =
+  let runs = List.map (fun r -> { r with na = f r.na; nb = Option.map f r.nb }) in
   {
-    r with
-    na = remap_term map r.na;
-    nb = Option.map (remap_term map) r.nb;
+    st with
+    msgs = TS.map f st.msgs;
+    used = TS.map f st.used;
+    istarts = sorted_runs (runs st.istarts);
+    rruns = sorted_runs (runs st.rruns);
+    rdones = sorted_runs (runs st.rdones);
+    kn = None;
   }
-
-let remap_state map st =
-  if List.for_all (fun (c, d) -> Term.equal c d) map then st
-  else
-    {
-      st with
-      msgs = TS.map (remap_term map) st.msgs;
-      used = TS.map (remap_term map) st.used;
-      istarts = sorted_runs (List.map (remap_run map) st.istarts);
-      rruns = sorted_runs (List.map (remap_run map) st.rruns);
-      rdones = sorted_runs (List.map (remap_run map) st.rdones);
-      kn = None;
-    }
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        List.map
-          (fun p -> x :: p)
-          (permutations (List.filter (fun y -> not (Term.equal y x)) l)))
-      l
-
-(* Orbit minimization over the interchangeable-nonce pool: the canonical
-   representative is the permutation image with the smallest key, which
-   makes canonization idempotent by construction. *)
-let canon_over pool =
-  if List.length pool < 2 then fun st -> st
-  else
-    let maps = List.map (List.combine pool) (permutations pool) in
-    fun st ->
-      let best = ref st and best_key = ref (key st) in
-      List.iter
-        (fun map ->
-          let st' = remap_state map st in
-          let k' = key st' in
-          if String.compare k' !best_key < 0 then begin
-            best := st';
-            best_key := k'
-          end)
-        maps;
-      !best
 
 let reduction ?(por = true) ?(symmetry = true) scen =
   let a = analysis scen.variant in
@@ -490,8 +459,9 @@ let reduction ?(por = true) ?(symmetry = true) scen =
     if symmetry then
       (* Only the scenario's honest-nonce pool is interchangeable: the
          intruder's own nonces are part of its (asymmetric) identity. *)
-      canon_over
+      Analysis.Symmetry.canonizer
         (Analysis.Symmetry.orbit_elems a.an_sym ~candidates:scen.nonces)
+        ~iter_terms ~remap:remap_state ~key
     else fun st -> st
   in
   { Mc.ample; canon }

@@ -109,6 +109,12 @@ val resumption_complete : scenario -> state -> bool
 val reduction :
   ?por:bool -> ?symmetry:bool -> scenario -> (state, label) Mc.reduction
 
+(** [remap_state f st] rebuilds [st] with [f] applied to every term a
+    permutation of the honest rands acts on — the network, the used
+    rands, the leaked keys and the session tables — and the session table
+    re-sorted.  {!reduction}'s canonization remaps with it. *)
+val remap_state : (Term.t -> Term.t) -> state -> state
+
 (** The memoized independence analysis over the style's generated theory
     ([None] when the spec has no recognizable transitions — does not
     happen for these models). *)

@@ -59,6 +59,7 @@ let () =
          Test_proofs.suite;
          Test_mc.suite;
          Test_mc_reduction.suite;
+         Test_mc_keys.suite;
          Test_nspk_sym.suite;
          Test_sched.suite;
          Test_secrecy.suite;

@@ -486,10 +486,90 @@ let prop_boolring_xor_involutive =
         (Boolring.of_term (Term.xor (Term.xor t t) qa))
         (Boolring.atom qa))
 
+(* ------------------------------------------------------------------ *)
+(* Printing: [Term.to_string] and [Term.pp] against the Format printer
+   they replaced, kept here as the reference. *)
+
+let rec ref_pp ppf t =
+  match Term.view t with
+  | Term.Var v -> Format.fprintf ppf "%s:%s" v.Term.v_name v.Term.v_sort.Sort.name
+  | Term.App (o, []) -> Format.pp_print_string ppf o.Signature.name
+  | Term.App (o, args) ->
+    Format.fprintf ppf "%s(%a)" o.Signature.name
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+         ref_pp)
+      args
+
+let psg = Signature.create ()
+let konst = Signature.declare psg "konst" [] nat ~attrs:[]
+let tri = Signature.declare psg "tri" [ nat; nat; nat ] nat ~attrs:[]
+
+let printed_leaves =
+  [ Term.const zero; Term.const konst; x; y; Term.var "LongVariableName" nat ]
+
+(* Variables, constants, unary, binary, ternary and AC operators, and the
+   builtin equality and if-then-else, nested. *)
+let gen_printed =
+  QCheck.Gen.(
+    sized @@ fix (fun self n ->
+        let leaf = oneofl printed_leaves in
+        if n <= 0 then leaf
+        else
+          frequency
+            [
+              1, leaf;
+              2, map (fun t -> Term.app succ [ t ]) (self (n / 2));
+              2, map2 (fun a b -> Term.app plus [ a; b ]) (self (n / 2)) (self (n / 2));
+              2,
+              map3
+                (fun a b c -> Term.app tri [ a; b; c ])
+                (self (n / 3)) (self (n / 3)) (self (n / 3));
+              2, map2 (fun a b -> Term.app union [ a; b ]) (self (n / 2)) (self (n / 2));
+              1,
+              map3
+                (fun a b c -> Term.ite (Term.eq a b) c a)
+                (self (n / 3)) (self (n / 3)) (self (n / 3));
+            ]))
+
+let prop_printer_matches_reference =
+  QCheck.Test.make ~name:"to_string and pp match the Format reference" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" ref_pp) gen_printed)
+    (fun t ->
+      let expected = Format.asprintf "%a" ref_pp t in
+      String.equal (Term.to_string t) expected
+      && String.equal (Format.asprintf "%a" Term.pp t) expected)
+
+(* Terms inside a vertical box with break hints, as the prover prints a
+   refutation trail, and inside a packing box: short terms, and terms
+   longer than the margin. *)
+let test_printer_layout () =
+  let rec deep n t = if n = 0 then t else deep (n - 1) (Term.app tri [ t; x; Term.const konst ]) in
+  let terms =
+    [ x; Term.const zero; nat_term 3; deep 2 y; deep 6 (nat_term 2); Term.app union [ deep 4 x; deep 3 z ] ]
+  in
+  let trail pp ppf ts =
+    Format.fprintf ppf "@[<v2>refuted (splits=3); trail:";
+    List.iteri (fun i t -> Format.fprintf ppf "@,%a := %b" pp t (i mod 2 = 0)) ts;
+    Format.fprintf ppf "@]"
+  in
+  let packed pp ppf ts =
+    Format.fprintf ppf "@[<hov2>residual";
+    List.iter (fun t -> Format.fprintf ppf "@ %a" pp t) ts;
+    Format.fprintf ppf "@]"
+  in
+  List.iter
+    (fun (name, layout) ->
+      Alcotest.(check string) name
+        (Format.asprintf "%a" (layout ref_pp) terms)
+        (Format.asprintf "%a" (layout Term.pp) terms))
+    [ "vertical trail", trail; "packed residual", packed ]
+
 let qcheck_cases =
   List.map
     (QCheck_alcotest.to_alcotest ?verbose:None ?long:None)
     [
+      prop_printer_matches_reference;
       prop_ac_normalize_idempotent;
       prop_ac_normalize_preserves_multiset;
       prop_replace_identity;
@@ -541,6 +621,7 @@ let tests =
     "occurs and subterms", `Quick, test_occurs_and_subterms;
     "boolring atom sort check", `Quick, test_boolring_atom_requires_bool;
     "boolring monomial count", `Quick, test_boolring_monomial_count;
+    "printer layout in boxes", `Quick, test_printer_layout;
   ]
   @ qcheck_cases
 
