@@ -6,7 +6,9 @@ type t = {
   signature : Signature.t;
   mutable own_sorts : Sort.t list;
   mutable equations : Rewrite.rule list;  (** reverse order *)
-  mutable cached_system : Rewrite.system option;
+  cached_system : Rewrite.system option Atomic.t;
+      (** filled once, atomically: branches on every pool domain read the
+          base's *)
   positions : (string, int * int) Hashtbl.t;
       (** source positions keyed by ["eq:<label>"], ["op:<name>"],
           ["sort:<name>"] *)
@@ -30,7 +32,7 @@ and create_raw ~imports name =
     signature = Signature.create ();
     own_sorts = [];
     equations = [];
-    cached_system = None;
+    cached_system = Atomic.make None;
     positions = Hashtbl.create 16;
   }
 
@@ -41,15 +43,15 @@ let create ?(bool = true) ?(imports = []) name =
 (* A branch is a child module importing [base]: it sees every sort,
    operator and rule of the base, while its own declarations (typically the
    fresh constants of one proof case) land in its private signature and its
-   [system] carries a private memo table and step counter.  This is what
-   makes proof cases independent enough to run on separate domains — the
-   base spec is only ever read. *)
+   [system] — a fork of the base's — carries a private memo table and step
+   counter.  This is what makes proof cases independent enough to run on
+   separate domains — the base spec is only ever read. *)
 let branch base name = create_raw ~imports:[ base ] name
 
 let name m = m.name
 let imports m = m.imports
 
-let invalidate m = m.cached_system <- None
+let invalidate m = Atomic.set m.cached_system None
 
 let record_pos m key pos =
   if not (Hashtbl.mem m.positions key) then Hashtbl.add m.positions key pos
@@ -95,17 +97,22 @@ let rec find_op m op_name =
 let sorts m = m.own_sorts
 let own_ops m = Signature.ops m.signature
 
+(* Deduplicated by name, which is what [Signature.op_equal] compares. *)
 let all_ops m =
-  let rec collect acc m =
-    let acc =
-      List.fold_left
-        (fun acc o ->
-          if List.exists (Signature.op_equal o) acc then acc else acc @ [ o ])
-        acc (own_ops m)
-    in
-    List.fold_left collect acc m.imports
+  let seen = Hashtbl.create 256 in
+  let acc = ref [] in
+  let rec collect m =
+    List.iter
+      (fun (o : Signature.op) ->
+        if not (Hashtbl.mem seen o.Signature.name) then begin
+          Hashtbl.add seen o.Signature.name ();
+          acc := o :: !acc
+        end)
+      (own_ops m);
+    List.iter collect m.imports
   in
-  collect [] m
+  collect m;
+  List.rev !acc
 
 let add_rule m rule =
   invalidate m;
@@ -132,13 +139,22 @@ let all_rules m =
   in
   collect m
 
-let system m =
-  match m.cached_system with
+(* A module with no equations of its own and a single import — every
+   [branch] — has exactly its import's rules, so it forks the import's
+   compiled system instead of compiling them again.  Two domains may both
+   build a missing system; the first to publish it wins and the other
+   adopts the winner's, so every branch forks the same base. *)
+let rec system m =
+  match Atomic.get m.cached_system with
   | Some sys -> sys
   | None ->
-    let sys = Rewrite.make (all_rules m) in
-    m.cached_system <- Some sys;
-    sys
+    let sys =
+      match m.equations, m.imports with
+      | [], [ base ] -> Rewrite.fork (system base)
+      | _ -> Rewrite.make (all_rules m)
+    in
+    if Atomic.compare_and_set m.cached_system None (Some sys) then sys
+    else system m
 
 let reduce m t = Rewrite.normalize (system m) t
 

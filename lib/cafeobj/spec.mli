@@ -26,7 +26,9 @@ val imports : t -> t list
     constants) and its rewrite system's memo table and step counter are
     private.  Proof cases each run in their own branch, which is what makes
     them safe to execute on separate domains — the shared base is only
-    read.  O(1); the child's rewrite system is built on first use. *)
+    read.  O(1); the child's rewrite system is a {!Rewrite.fork} of
+    [base]'s, made on first use, so the base's rules are compiled once
+    for all its branches. *)
 val branch : t -> string -> t
 
 (** [declare_sort m name] interns a visible sort and records it as declared
@@ -73,7 +75,11 @@ val own_rules : t -> Rewrite.rule list
 val all_rules : t -> Rewrite.rule list
 
 (** [system m] is the rewrite system of [m] (cached; invalidated by any
-    [add_*]). *)
+    [add_*]).  A module with no equations of its own and exactly one
+    import — every {!branch} — forks its import's system
+    ({!Rewrite.fork}); any other module compiles [make (all_rules m)].
+    The cache is filled atomically: concurrent first calls on several
+    domains all return the same system. *)
 val system : t -> Rewrite.system
 
 (** [reduce m t] is CafeOBJ's [red t .] in module [m]: the normal form of

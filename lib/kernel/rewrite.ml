@@ -81,8 +81,9 @@ type memo = {
   m_misses : int Atomic.t;
 }
 
-(* Keep creation cheap: the prover allocates a fresh system per split
-   branch, so the empty memo must cost next to nothing.  16 shards is
+(* Keep creation cheap: every proof case forks a system and every split
+   branch extends one, and since neither recompiles the base's rules, the
+   empty memo is most of what either costs.  16 shards is
    plenty of lock spread for the pool sizes we run; tables grow on
    demand. *)
 let memo_shard_count = 16
@@ -145,10 +146,19 @@ let memo_entries m =
 
 type memo_stats = { hits : int; misses : int; entries : int; generation : int }
 
+(* One compiled rule set: the head-operator table the linear scan reads
+   and the discrimination tree over the same rules.  Nothing mutates a
+   layer after [compile] apart from the tree's health flag ([selfcheck],
+   [corrupt_index_for_tests]), so a system, its forks and its extensions
+   share layers freely, across pool domains too. *)
+type layer = {
+  l_heads : (string, rule list) Hashtbl.t;  (** head operator name -> rules *)
+  l_dtree : rule Index.t;
+}
+
 type system = {
-  ordered : rule list;
-  index : (string, rule list) Hashtbl.t;  (** head operator name -> rules *)
-  dtree : rule Index.t;  (** discrimination-tree index over the same rules *)
+  layers : layer list;
+      (** newest first: an extension's extra rules precede its parent's *)
   mutable indexing : bool;  (** [false]: rule selection via the linear scan *)
   memo : memo;
   mutable dcache : deriv Term.Tbl.t option;
@@ -166,15 +176,23 @@ let head_name r =
   | Term.App (o, _) -> o.Signature.name
   | Term.Var _ -> assert false
 
-let build_index rules =
-  let index = Hashtbl.create 64 in
+let build_heads rules =
+  let heads = Hashtbl.create 16 in
   List.iter
     (fun r ->
       let key = head_name r in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
-      Hashtbl.replace index key (existing @ [ r ]))
-    rules;
-  index
+      let later = Option.value ~default:[] (Hashtbl.find_opt heads key) in
+      Hashtbl.replace heads key (r :: later))
+    (List.rev rules);
+  heads
+
+(* Defensive: a miscompiled index could silently skip rules.  The
+   self-retrieval replay costs one query per rule at construction time and
+   degrades a bad index to full-bucket answers. *)
+let compile uid rules =
+  let dtree = Index.build ~gen:uid ~lhs:(fun r -> r.lhs) rules in
+  (match Index.validate dtree with Ok () | Error _ -> ());
+  { l_heads = build_heads rules; l_dtree = dtree }
 
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
@@ -186,55 +204,56 @@ let default_indexing_flag = Atomic.make true
 let set_default_indexing b = Atomic.set default_indexing_flag b
 let default_indexing () = Atomic.get default_indexing_flag
 
-let build_dtree uid rules = Index.build ~gen:uid ~lhs:(fun r -> r.lhs) rules
+(* A new system over [layers]: fresh memo, and unless given, the default
+   limits, indexing flag and a step counter of its own. *)
+let assemble ?(indexing = default_indexing ()) ?(step_limit = 5_000_000)
+    ?(deadline = 0.) ?(steps_total = Atomic.make 0) layers info =
+  {
+    layers;
+    indexing;
+    memo = memo_create ();
+    dcache = None;
+    step_limit;
+    deadline;
+    deadline_at = 0.;
+    steps_total;
+    budget = 0;
+    info;
+  }
 
 let make rules =
   let uid = fresh_uid () in
-  let dtree = build_dtree uid rules in
-  (* Defensive: a miscompiled index could silently skip rules.  The
-     self-retrieval replay costs one query per rule at construction time
-     and degrades a bad index to full-bucket answers. *)
-  (match Index.validate dtree with Ok () | Error _ -> ());
-  {
-    ordered = rules;
-    index = build_index rules;
-    dtree;
-    indexing = default_indexing ();
-    memo = memo_create ();
-    dcache = None;
-    step_limit = 5_000_000;
-    deadline = 0.;
-    deadline_at = 0.;
-    steps_total = Atomic.make 0;
-    budget = 0;
-    info = { si_uid = uid; si_parent = None; si_added = rules };
-  }
+  assemble [ compile uid rules ]
+    { si_uid = uid; si_parent = None; si_added = rules }
 
-let rules sys = sys.ordered
+(* The [si_added]/[si_parent] chain lists every rule, extra rules first —
+   the order the layers answer in. *)
+let rec chain_rules si =
+  match si.si_parent with
+  | None -> si.si_added
+  | Some p -> si.si_added @ chain_rules p
+
+let rules sys = chain_rules sys.info
 let info sys = sys.info
 
+(* [make (rules sys)] without the compilation: the layers are shared, the
+   memo, counters and limits are the fork's own.  The identity is a root
+   listing every rule, exactly as [make] would record it, so certificates
+   cannot tell a fork from a fresh system. *)
+let fork sys =
+  assemble sys.layers
+    { si_uid = fresh_uid (); si_parent = None; si_added = rules sys }
+
 (* A derived system gets a fresh memo: the extra rules rewrite terms the
-   base system considered normal, so no base entry may be trusted.  The
-   index is likewise recompiled over the extended rule set (extends are
-   frequent — one per split branch — so the rebuild skips the
-   self-retrieval replay [make] performs). *)
+   base system considered normal, so no base entry may be trusted.  Only
+   the extra rules are compiled (and self-checked); their layer goes in
+   front of the parent's, which are shared as they are. *)
 let extend sys extra =
-  let rules = extra @ sys.ordered in
   let uid = fresh_uid () in
-  {
-    ordered = rules;
-    index = build_index rules;
-    dtree = build_dtree uid rules;
-    indexing = sys.indexing;
-    memo = memo_create ();
-    dcache = None;
-    step_limit = sys.step_limit;
-    deadline = sys.deadline;
-    deadline_at = 0.;
-    steps_total = sys.steps_total;
-    budget = 0;
-    info = { si_uid = uid; si_parent = Some sys.info; si_added = extra };
-  }
+  assemble ~indexing:sys.indexing ~step_limit:sys.step_limit
+    ~deadline:sys.deadline ~steps_total:sys.steps_total
+    (compile uid extra :: sys.layers)
+    { si_uid = uid; si_parent = Some sys.info; si_added = extra }
 
 type limit = Steps of int | Deadline of float
 
@@ -303,14 +322,26 @@ type cache_ops = {
       (** candidate rules for a root, in rule order *)
 }
 
+(* Candidate rules for [t] from every layer, newest first.  Each layer
+   answers in its own rule order and extra rules precede their parent's,
+   so the concatenation is the flat rule order. *)
+let rec layered_rules select = function
+  | [] -> []
+  | [ l ] -> select l
+  | l :: rest -> (
+    match select l with
+    | [] -> layered_rules select rest
+    | rs -> ( match layered_rules select rest with [] -> rs | more -> rs @ more))
+
 (* The seed engine's rule selection: every rule under the subject's head
-   operator name, in rule order.  Kept verbatim as the reference the
-   differential suite compares the index against, and as the fallback when
-   indexing is off. *)
+   operator name, in rule order.  Kept as the reference the differential
+   suite compares the index against, and as the fallback when indexing is
+   off. *)
 let linear_rules sys o =
-  match Hashtbl.find_opt sys.index o.Signature.name with
-  | None -> []
-  | Some rs -> rs
+  layered_rules
+    (fun l ->
+      Option.value ~default:[] (Hashtbl.find_opt l.l_heads o.Signature.name))
+    sys.layers
 
 (* Indexed rule selection.  [Index.candidates] is never-miss and preserves
    rule order, so the rule that fires — and with it every normal form,
@@ -319,7 +350,8 @@ let linear_rules sys o =
    fallback (an index degraded by a failed selfcheck accounts its own
    fallbacks internally). *)
 let sys_rules sys t o =
-  if sys.indexing then Index.candidates sys.dtree t
+  if sys.indexing then
+    layered_rules (fun l -> Index.candidates l.l_dtree t) sys.layers
   else begin
     let rs = linear_rules sys o in
     if rs <> [] then Index.note_fallback (List.length rs);
@@ -701,25 +733,53 @@ let normalize_uncached sys t =
 
 let set_indexing sys b = sys.indexing <- b
 let indexing sys = sys.indexing
-let index_info sys = Index.info sys.dtree
 
-(* Re-runs the self-retrieval replay on demand.  A failure means the
-   index was corrupted after construction, and any normal form computed
-   through it since is suspect — so on [Error] the memo generation is
-   bumped and the derivation cache dropped along with degrading the index
-   to full-bucket answers.  This is the index side of the index⇄memo
-   generation contract: the memo may only hold entries computed under a
-   healthy index of the current rule set. *)
+(* Counts are summed over the layers; the generation is the newest
+   layer's, and the index is healthy only if every layer is. *)
+let index_info sys =
+  let infos = List.map (fun l -> Index.info l.l_dtree) sys.layers in
+  let sum f = List.fold_left (fun n i -> n + f i) 0 infos in
+  {
+    Index.ix_rules = sum (fun i -> i.Index.ix_rules);
+    ix_buckets = sum (fun i -> i.Index.ix_buckets);
+    ix_ac_buckets = sum (fun i -> i.Index.ix_ac_buckets);
+    ix_generation = (List.hd infos).Index.ix_generation;
+    ix_ok = List.for_all (fun i -> i.Index.ix_ok) infos;
+  }
+
+(* Re-runs the self-retrieval replay of every layer on demand.  A failure
+   means an index was corrupted after construction, and any normal form
+   computed through it since is suspect — so on [Error] the memo
+   generation is bumped and the derivation cache dropped along with
+   degrading the layer to full-bucket answers.  This is the index side of
+   the index⇄memo generation contract: the memo may only hold entries
+   computed under a healthy index of the current rule set.  Degrading a
+   shared layer degrades it for every system holding it; only this
+   system's memo is invalidated. *)
 let selfcheck sys =
-  match Index.validate sys.dtree with
-  | Ok () -> Ok ()
-  | Error _ as e ->
+  let checked = List.map (fun l -> Index.validate l.l_dtree) sys.layers in
+  match List.find_opt Result.is_error checked with
+  | None -> Ok ()
+  | Some e ->
     invalidate_memo sys;
     sys.dcache <- None;
     e
 
+(* [slot] counts along the whole chain's bucket, newest layer first — the
+   position in the order the rewriter tries the rules. *)
 let corrupt_index_for_tests sys ~bucket ~slot =
-  Index.unsafe_drop_slot sys.dtree ~bucket ~slot
+  let rec go slot = function
+    | [] -> false
+    | l :: rest ->
+      let n =
+        match Hashtbl.find_opt l.l_heads bucket with
+        | Some rs -> List.length rs
+        | None -> 0
+      in
+      if slot < n then Index.unsafe_drop_slot l.l_dtree ~bucket ~slot
+      else go (slot - n) rest
+  in
+  slot >= 0 && go slot sys.layers
 
 let pp_rule ppf r =
   match r.cond with

@@ -5,10 +5,17 @@
     rules (CafeOBJ's [ceq]) apply only when their condition normalizes to
     [true].
 
-    Systems are immutable; proof passages extend a base system with their
-    assumption equations ({!extend}), which mirrors CafeOBJ's
-    [open ... close] temporary modules.  Each system carries a memoization
-    table and rewrite-step counters used by the benchmarks.
+    Systems are immutable; proof passages fork a base system ({!fork})
+    and extend it with their assumption equations ({!extend}), which
+    mirrors CafeOBJ's [open ... close] temporary modules.  Each system
+    carries a memoization table and rewrite-step counters used by the
+    benchmarks.
+
+    A system holds its compiled rules as {e layers}, newest first:
+    {!make} compiles one, {!extend} compiles only its extra rules into a
+    new front layer, and {!fork} compiles nothing.  A system, its forks
+    and its extensions therefore share layers, so degrading one layer
+    (see {!selfcheck}) degrades it in all of them.
 
     Normalization can additionally record a {e derivation} — a replayable
     proof trace of every rule application, condition discharge and AC
@@ -41,12 +48,23 @@ type system
 (** [make rules] builds a system; rules are tried in list order. *)
 val make : rule list -> system
 
+(** [rules sys] lists every rule of [sys] in the order they are tried. *)
 val rules : system -> rule list
 
-(** [extend sys rules] is a new system with [rules] appended (tried first,
-    so passage assumptions take precedence over the base spec — matching
-    CafeOBJ, where the innermost module's equations shadow imports). *)
+(** [extend sys rules] is a new system with [rules] added in front of
+    [sys]'s (tried first, so passage assumptions take precedence over the
+    base spec — matching CafeOBJ, where the innermost module's equations
+    shadow imports).  Only [rules] are compiled; [sys]'s layers are
+    shared.  The new system has a fresh memo, inherits [sys]'s limits and
+    indexing flag, and shares its step counter. *)
 val extend : system -> rule list -> system
+
+(** [fork sys] behaves like [make (rules sys)] — fresh identity with no
+    parent and every rule listed as added, a private memo and step
+    counter, the default limits and indexing flag — but shares [sys]'s
+    compiled layers instead of compiling them again.  Proof cases fork
+    the protocol's base system. *)
+val fork : system -> system
 
 (** [normalize sys t] is the normal form of [t].  When a global tracer is
     installed ({!set_tracer}), the run additionally records a derivation
@@ -83,8 +101,9 @@ val set_deadline : system -> float -> unit
 
 (** [steps sys] is the cumulative number of rule applications performed by
     this system since creation.  The counter is atomic and shared with
-    every system derived by {!extend}, so totals are exact even when the
-    sched pool normalizes on several domains at once. *)
+    every system derived by {!extend} (not with forks), so totals are
+    exact even when the sched pool normalizes on several domains at
+    once. *)
 val steps : system -> int
 
 (** [reset_steps sys] zeroes the counter. *)
@@ -101,8 +120,8 @@ val clear_cache : system -> unit
     pool's domains.  Entries are stamped with the memo's generation at
     store time and ignored once the generation moves on — {!extend}
     allocates a fresh memo for the derived system (its extra rules
-    invalidate every base normal form), and {!invalidate_memo} bumps the
-    generation in place. *)
+    invalidate every base normal form), {!fork} a private one, and
+    {!invalidate_memo} bumps the generation in place. *)
 
 (** [invalidate_memo sys] advances the memo generation: every cached
     normal form becomes stale (a guaranteed miss) without touching the
@@ -121,8 +140,9 @@ val memo_stats : system -> memo_stats
 
 (** {1 Indexed rule selection}
 
-    Each system compiles its rule set into a discrimination-tree index
-    ({!Index}) at {!make}/{!extend} time.  Candidate selection through the
+    Each layer of a system is a discrimination-tree index ({!Index})
+    compiled at {!make}/{!extend} time; a query concatenates the layers'
+    answers, newest first.  Candidate selection through the
     index is {e never-miss} and preserves rule order, so normal forms,
     step counts, traced derivations and certificates are byte-identical
     with and without it — only the number of failed match attempts
@@ -131,13 +151,15 @@ val memo_stats : system -> memo_stats
     differential baseline).
 
     Index⇄memo generation interaction: the index is keyed to the rule
-    set, the memo to the {e meaning} of that rule set.  [extend] rebuilds
-    both (fresh uid stamps the new index; fresh memo).  {!invalidate_memo}
-    bumps only the memo generation — the rules are unchanged, so the
-    index stays valid and is {e not} rebuilt.  The one coupling runs the
-    other way: if {!selfcheck} finds the index corrupted, every normal
-    form computed through it is suspect, so the memo generation is bumped
-    and the derivation cache dropped along with degrading the index. *)
+    set, the memo to the {e meaning} of that rule set.  [extend] compiles
+    a layer for the extra rules only (stamped with the new system's uid)
+    and allocates a fresh memo; [fork] shares every layer and allocates a
+    fresh memo.  {!invalidate_memo} bumps only the memo generation — the
+    rules are unchanged, so the index stays valid and is {e not}
+    rebuilt.  The one coupling runs the other way: if {!selfcheck} finds a
+    layer corrupted, every normal form computed through it is suspect, so
+    the memo generation is bumped and the derivation cache dropped along
+    with degrading the layer. *)
 
 (** [set_indexing sys b] switches rule selection between the index
     ([true], the default) and the seed's linear scan ([false]).  Linear
@@ -146,29 +168,37 @@ val set_indexing : system -> bool -> unit
 
 val indexing : system -> bool
 
-(** [set_default_indexing b] sets the flag new systems are born with —
-    {!extend} inherits the parent's flag instead, so a campaign forced
-    onto the linear scan stays on it through every split branch. *)
+(** [set_default_indexing b] sets the flag new systems ({!make},
+    {!fork}) are born with — {!extend} inherits the parent's flag
+    instead, so a campaign forced onto the linear scan stays on it
+    through every split branch. *)
 val set_default_indexing : bool -> unit
 
 val default_indexing : unit -> bool
 
-(** [index_info sys] describes the compiled index (bucket counts,
-    generation stamp — equal to [(info sys).si_uid] — and health). *)
+(** [index_info sys] describes the compiled index over all of [sys]'s
+    layers: rule and bucket counts summed over the layers, the generation
+    stamp of the newest layer (the uid of the system that compiled it —
+    [(info sys).si_uid] for {!make} and {!extend}, the forked system's
+    for {!fork}), and health ([false] if any layer is degraded). *)
 val index_info : system -> Index.info
 
-(** [selfcheck sys] re-runs the index's self-retrieval validation.  On
-    [Error] the index is degraded to full-bucket answers {e and} the memo
-    generation is bumped / derivation cache dropped, because normal forms
-    computed through a corrupted index cannot be trusted. *)
+(** [selfcheck sys] re-runs the self-retrieval validation of every layer.
+    On [Error] the corrupted layers are degraded to full-bucket answers
+    {e and} [sys]'s memo generation is bumped / derivation cache dropped,
+    because normal forms computed through a corrupted index cannot be
+    trusted.  The degraded layers stay degraded in every system sharing
+    them; their memos are not touched. *)
 val selfcheck : system -> (unit, string) result
 
 (**/**)
 
 (** Test-only: corrupt the compiled index in place (see
-    {!Index.unsafe_drop_slot}).  Exists so the adversarial differential
-    tests can prove {!selfcheck} detects corruption and the degraded
-    index falls back to sound full-bucket answers. *)
+    {!Index.unsafe_drop_slot}); [slot] counts along the bucket of the
+    whole layer chain, in the order the rules are tried.  Exists so the
+    adversarial differential tests can prove {!selfcheck} detects
+    corruption and the degraded index falls back to sound full-bucket
+    answers. *)
 val corrupt_index_for_tests : system -> bucket:string -> slot:int -> bool
 
 (**/**)

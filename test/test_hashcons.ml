@@ -167,8 +167,8 @@ let test_memo_generation_tamper () =
 let test_no_stale_nf_across_branch () =
   (* A branched proof environment adds equations; terms the base system
      considered normal must re-reduce under the branch even though the base
-     memo is warm (Spec.branch compiles to Rewrite.extend, which allocates
-     a fresh memo). *)
+     memo is warm (Rewrite.extend allocates a fresh memo for the derived
+     system). *)
   let a = Term.const opaque in
   let sys = Rewrite.make (plus_rules ()) in
   let t = Term.app plus [ a; church 3 ] in

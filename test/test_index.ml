@@ -14,7 +14,9 @@ open Kernel
 (* ------------------------------------------------------------------ *)
 (* A small theory exercising every bucket kind: plain discrimination
    (ixP/ixM share nothing with each other), a conditional rule, and an
-   AC-rooted rule (ixU). *)
+   AC-rooted rule (ixU).  ix-p0 and ix-pz overlap on [ixP(ixZ, ixZ)] and
+   their order decides which fires first, so rule order shows in step
+   counts and derivations. *)
 
 let nat = Sort.visible "IxNat"
 let sg = Signature.create ()
@@ -45,6 +47,7 @@ let rules =
     Rewrite.rule ~label:"ix-isz0" (isz z) Term.tt;
     Rewrite.rule ~label:"ix-iszs" (isz (s vM)) Term.ff;
     Rewrite.rule ~cond:(isz vN) ~label:"ix-gate" (gate vN) z;
+    Rewrite.rule ~label:"ix-pz" (plus vM z) vM;
   ]
 
 let fresh_indexed () = Rewrite.make rules
@@ -53,6 +56,55 @@ let fresh_linear () =
   let sys = Rewrite.make rules in
   Rewrite.set_indexing sys false;
   sys
+
+(* The same rules as a chain of three layers, [c1 @ c2 @ c3 = rules]:
+   each extension's rules are tried before its parent's, so the chain
+   must behave exactly like the flat system. *)
+let fresh_chain ~indexing =
+  let c1 = List.filteri (fun i _ -> i < 3) rules
+  and c2 = List.filteri (fun i _ -> i >= 3 && i < 6) rules
+  and c3 = List.filteri (fun i _ -> i >= 6) rules in
+  let sys = Rewrite.extend (Rewrite.extend (Rewrite.make c3) c2) c1 in
+  Rewrite.set_indexing sys indexing;
+  sys
+
+(* Every way of building the theory's system; each must agree with the
+   flat indexed [make] on normal forms, steps and derivations. *)
+let fresh_systems () =
+  [
+    fresh_linear ();
+    fresh_chain ~indexing:true;
+    fresh_chain ~indexing:false;
+    Rewrite.fork (fresh_indexed ());
+  ]
+
+(* A derivation as text: every visited term, permutation, applied rule,
+   binding, discharged condition and nested step — all a certificate
+   records of it apart from the rule set's identity. *)
+let rec deriv_sig (d : Rewrite.deriv) =
+  let t = Term.to_string in
+  match d.Rewrite.d_node with
+  | Rewrite.Triv -> "." ^ t d.Rewrite.d_in
+  | Rewrite.Dapp { children; perm; step } ->
+    String.concat " "
+      ([ "("; t d.Rewrite.d_in; "->"; t d.Rewrite.d_out ]
+      @ List.map deriv_sig children
+      @ (match perm with
+        | None -> []
+        | Some p -> [ "perm"; String.concat "," (List.map string_of_int p) ])
+      @ (match step with
+        | None -> []
+        | Some st ->
+          [
+            "[" ^ st.Rewrite.rs_rule.Rewrite.label ^ "]";
+            String.concat ","
+              (List.map
+                 (fun ((v : Term.var), img) -> v.Term.v_name ^ "=" ^ t img)
+                 (Subst.bindings st.Rewrite.rs_sub));
+            (match st.Rewrite.rs_cond with None -> "-" | Some c -> deriv_sig c);
+            deriv_sig st.Rewrite.rs_next;
+          ])
+      @ [ ")" ])
 
 (* Random ground terms over the theory (depth-bounded). *)
 let gen_ground =
@@ -78,25 +130,34 @@ let arb_ground = QCheck.make ~print:Term.to_string gen_ground
 let prop_differential_nf =
   QCheck.Test.make ~name:"indexed and linear normalization agree" ~count:300
     arb_ground (fun t ->
-      let si = fresh_indexed () and sl = fresh_linear () in
+      let si = fresh_indexed () in
       let nfi = Rewrite.normalize si t in
       let steps_i = Rewrite.steps si in
-      let nfl = Rewrite.normalize sl t in
-      let steps_l = Rewrite.steps sl in
-      (* a third system for the seed reference: [normalize_uncached] ticks
-         the same shared step counter, so it needs its own accounting *)
+      (* a separate system for the seed reference: [normalize_uncached]
+         ticks the same shared step counter, so it needs its own
+         accounting *)
       let su = fresh_indexed () in
       let nfu = Rewrite.normalize_uncached su t in
-      Term.equal nfi nfl && Term.equal nfi nfu && steps_i = steps_l
-      && steps_i = Rewrite.steps su)
+      Term.equal nfi nfu && steps_i = Rewrite.steps su
+      && List.for_all
+           (fun sys ->
+             Term.equal nfi (Rewrite.normalize sys t)
+             && steps_i = Rewrite.steps sys)
+           (fresh_systems ()))
 
 let prop_differential_traced =
   QCheck.Test.make ~name:"indexed and linear traced runs agree" ~count:150
     arb_ground (fun t ->
-      let si = fresh_indexed () and sl = fresh_linear () in
-      let nfi, _ = Rewrite.normalize_traced si t in
-      let nfl, _ = Rewrite.normalize_traced sl t in
-      Term.equal nfi nfl && Rewrite.steps si = Rewrite.steps sl)
+      let si = fresh_indexed () in
+      let nfi, di = Rewrite.normalize_traced si t in
+      let want = deriv_sig di in
+      List.for_all
+        (fun sys ->
+          let nf, d = Rewrite.normalize_traced sys t in
+          Term.equal nfi nf
+          && Rewrite.steps si = Rewrite.steps sys
+          && String.equal want (deriv_sig d))
+        (fresh_systems ()))
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: never-miss — every rule the matcher fires is a candidate,    *)
@@ -403,6 +464,66 @@ let test_generation_stamp () =
   Alcotest.(check int) "invalidate_memo leaves the index generation"
     ie.Index.ix_generation (Rewrite.index_info ext).Index.ix_generation
 
+(* A fork shares the base's compiled layers and nothing else: its runs
+   leave the base's counters and memo untouched, and its identity is a
+   root listing every rule — what [make (rules base)] would record, so
+   certificates are the same whichever of the two built the system. *)
+let test_fork () =
+  let base = fresh_indexed () in
+  let fork = Rewrite.fork base in
+  let t = mul (s (s z)) (s (s z)) in
+  Alcotest.(check string) "fork normalizes like the flat system"
+    (Term.to_string (Rewrite.normalize (fresh_linear ()) t))
+    (Term.to_string (Rewrite.normalize fork t));
+  Alcotest.(check bool) "the fork counted its steps" true
+    (Rewrite.steps fork > 0);
+  Alcotest.(check int) "base steps untouched" 0 (Rewrite.steps base);
+  let ms = Rewrite.memo_stats base in
+  Alcotest.(check (list int)) "base memo untouched" [ 0; 0; 0; 0 ]
+    [
+      ms.Rewrite.hits; ms.Rewrite.misses; ms.Rewrite.entries;
+      ms.Rewrite.generation;
+    ];
+  let fi = Rewrite.info fork in
+  Alcotest.(check bool) "fork is a root" true (fi.Rewrite.si_parent = None);
+  Alcotest.(check bool) "fork lists every rule of the base, in order" true
+    (List.equal ( == ) fi.Rewrite.si_added (Rewrite.rules base));
+  Alcotest.(check bool) "fork has its own identity" true
+    (fi.Rewrite.si_uid <> (Rewrite.info base).Rewrite.si_uid);
+  Alcotest.(check int) "fork shares the base's index"
+    (Rewrite.info base).Rewrite.si_uid
+    (Rewrite.index_info fork).Index.ix_generation
+
+(* Layers are shared, so corrupting the base's layer corrupts every
+   extension of it.  A selfcheck on the extension finds it, invalidates
+   the extension's memo and degrades the shared layer — which the base
+   then reports too — and the extension is sound again through the
+   full-bucket fallback. *)
+let test_corruption_shared_layer () =
+  let base = fresh_indexed () in
+  let subject = plus z (s z) in
+  let want = Rewrite.normalize (fresh_linear ()) subject in
+  Alcotest.(check bool) "dropped the matching slot of the base" true
+    (Rewrite.corrupt_index_for_tests base ~bucket:"ixP" ~slot:0);
+  let child =
+    Rewrite.extend base [ Rewrite.rule ~label:"ix-ext" (gate (s vM)) (s vM) ]
+  in
+  Alcotest.(check bool) "the extension inherits the corruption" false
+    (Term.equal want (Rewrite.normalize child subject));
+  let gen_before = (Rewrite.memo_stats child).Rewrite.generation in
+  (match Rewrite.selfcheck child with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "selfcheck missed a corrupted parent layer");
+  Alcotest.(check bool) "selfcheck invalidated the extension's memo" true
+    ((Rewrite.memo_stats child).Rewrite.generation > gen_before);
+  Alcotest.(check bool) "extension reports unhealthy" false
+    (Rewrite.index_info child).Index.ix_ok;
+  Alcotest.(check bool) "the shared layer is degraded in the base too" false
+    (Rewrite.index_info base).Index.ix_ok;
+  Alcotest.(check string) "fallback restores the linear result"
+    (Term.to_string want)
+    (Term.to_string (Rewrite.normalize child subject))
+
 (* ------------------------------------------------------------------ *)
 (* Regression: the runner's per-suite footer must not let suites that
    ran zero tests skew the slowest-first ordering (satellite fix). *)
@@ -493,6 +614,9 @@ let suite =
           test_corruption_detected_ac;
         Alcotest.test_case "query stats" `Quick test_stats;
         Alcotest.test_case "generation stamping" `Quick test_generation_stamp;
+        Alcotest.test_case "fork shares layers only" `Quick test_fork;
+        Alcotest.test_case "corruption in a shared layer" `Quick
+          test_corruption_shared_layer;
         Alcotest.test_case "timing footer ordering" `Quick test_timing_order;
         Alcotest.test_case "timing footer rendering" `Quick test_timing_render;
       ] )

@@ -194,6 +194,48 @@ let test_campaign_jobs_equivalence () =
     (summary_sig (Core.Report.summarize r1)
     = summary_sig (Core.Report.summarize r4))
 
+(* ------------------------------------------------------------------ *)
+(* Branch systems fork one base.  64 branches of a base whose system is
+   not built yet fan out over two domains, so both may race to build it;
+   the cache publishes one, and every branch must fork that one — its
+   index generation is the base system's uid. *)
+
+let test_branch_systems_share_base () =
+  let open Kernel in
+  let module Spec = Cafeobj.Spec in
+  let base = Spec.create "SCHED-FORK" in
+  let nat = Spec.declare_sort base "SfNat" in
+  let zero =
+    Term.const (Spec.declare_op base "sf0" [] nat ~attrs:[ Signature.Ctor ])
+  in
+  let succ = Spec.declare_op base "sfS" [ nat ] nat ~attrs:[ Signature.Ctor ] in
+  let dbl = Spec.declare_op base "sfDbl" [ nat ] nat ~attrs:[] in
+  let x = Term.var "X" nat in
+  let s t = Term.app succ [ t ] in
+  Spec.add_eq base ~label:"sf-dbl-0" (Term.app dbl [ zero ]) zero;
+  Spec.add_eq base ~label:"sf-dbl-s" (Term.app dbl [ s x ])
+    (s (s (Term.app dbl [ x ])));
+  let seen =
+    Pool.with_pool ~jobs:2 @@ fun pool ->
+    Pool.parallel_map pool
+      (fun i ->
+        let b = Spec.branch base (Printf.sprintf "sf-branch-%d" i) in
+        let sys = Spec.system b in
+        ( (Rewrite.index_info sys).Index.ix_generation,
+          Spec.system base,
+          Term.to_string (Rewrite.normalize sys (Term.app dbl [ s zero ])) ))
+      (List.init 64 Fun.id)
+  in
+  let base_sys = Spec.system base in
+  let uid = (Rewrite.info base_sys).Rewrite.si_uid in
+  List.iter
+    (fun (gen, seen_base, nf) ->
+      Alcotest.(check int) "branch forks the base system" uid gen;
+      Alcotest.(check bool) "one base system on every domain" true
+        (seen_base == base_sys);
+      Alcotest.(check string) "branch normal form" "sfS(sfS(sf0))" nf)
+    seen
+
 let tests =
   [
     "chan fifo", `Quick, test_chan_fifo;
@@ -209,6 +251,7 @@ let tests =
     "deadlock detected", `Quick, test_deadlock_detected;
     "shutdown rejects submit", `Quick, test_shutdown_rejects;
     "campaign jobs equivalence", `Slow, test_campaign_jobs_equivalence;
+    "branch systems share the base", `Quick, test_branch_systems_share_base;
   ]
 
 let suite = "sched", tests
