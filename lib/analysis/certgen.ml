@@ -141,9 +141,7 @@ let rec deriv b (d : Rewrite.deriv) =
                 step;
           }
     in
-    let cd =
-      { C.d_in = term b d.Rewrite.d_in; d_out = term b d.Rewrite.d_out; d_node = node }
-    in
+    let cd = C.deriv ~d_in:(term b d.Rewrite.d_in) ~d_out:(term b d.Rewrite.d_out) node in
     Phys.replace b.derivs (Obj.repr d) cd;
     cd
 

@@ -152,11 +152,12 @@ let check ?pool ?(budget = 20_000) ?(fuel = 8) ?(certify = false) spec =
   let rules = Cafeobj.Spec.all_rules spec in
   let overlaps = Completion.all_critical_pairs rules in
   let total = List.length overlaps in
+  let base = Rewrite.make rules in
   let run_chunk os =
-    (* Each chunk builds a private system: [Rewrite.system] carries a
+    (* Each chunk forks a private system: [Rewrite.system] carries a
        mutable memo table and step counter, so sharing one across pool
-       workers would race. *)
-    let sys = Rewrite.make rules in
+       workers would race.  The fork shares the base's compiled rules. *)
+    let sys = Rewrite.fork base in
     Rewrite.set_step_limit sys budget;
     List.map
       (fun (o : Completion.overlap) ->

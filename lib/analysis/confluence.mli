@@ -59,8 +59,9 @@ val split_candidate : Term.t -> Term.t option
 
 (** [check ?pool ?budget ?fuel ?certify spec] — [budget] caps rewrite steps
     per normalization (default 20k), [fuel] caps Shannon splits per pair
-    (default 8).  With [pool], pair chunks are joined in parallel; each
-    chunk rebuilds a private rewrite system, so results are deterministic
+    (default 8).  With [pool], pair chunks are joined in parallel; the
+    rules are compiled once and each chunk joins in a private fork of
+    that system ({!Kernel.Rewrite.fork}), so results are deterministic
     and race-free.  With [certify] (default [false]), every decided pair
     also records a join certificate in [certs]. *)
 val check :

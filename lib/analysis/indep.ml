@@ -434,10 +434,12 @@ let analyze ?pool ?(fuel = 24) ?(budget = 20_000) ?focus spec =
         @ all_pairs rest
     in
     let pairs = all_pairs cx.cx_actions in
+    let base = Rewrite.make (Cafeobj.Spec.all_rules spec) in
     let run_chunk ps =
       (* private rewrite system per chunk: it carries a mutable memo
-         table and step counter, so sharing one across workers races *)
-      let sys = Rewrite.make (Cafeobj.Spec.all_rules spec) in
+         table and step counter, so sharing one across workers races;
+         the fork shares the base's compiled rules *)
+      let sys = Rewrite.fork base in
       Rewrite.set_step_limit sys budget;
       List.map (fun (a, b) -> analyze_pair sys cx a b) ps
     in

@@ -2,15 +2,12 @@
    documented grammar.  The encoder hash-conses every node (ops, terms,
    rules, rule sets, derivations) into id-indexed tables, so certificates
    are DAG-compact regardless of how much sharing the producer achieved.
-   Terms, rule sets and derivations are also memoized by physical
-   identity, so each physically distinct node is walked once: a rule is
-   re-interned once per physically distinct rule set, step or LPO entry
-   naming it, not once per red or join that reaches it.  Encoding is
-   therefore linear in the number of physically distinct nodes, up to the
-   memo's bucket scans (its hash is structural and bounded, so physical
-   copies of one node share a bucket).  The decoder only ever resolves ids
-   that are already defined (references point backwards), which makes
-   cyclic certificates unrepresentable. *)
+   Each physically distinct node is walked once: derivations are memoized
+   by their [d_id], terms, rules and rule sets by physical identity, so a
+   rule is interned once, not once per step naming it.  Encoding is
+   therefore linear in the number of physically distinct nodes.  The
+   decoder only ever resolves ids that are already defined (references
+   point backwards), which makes cyclic certificates unrepresentable. *)
 
 type flag = Ac | Comm | Tt | Ff | Not | And | Or | Xor | Implies | Iff | If | Eq
 
@@ -26,7 +23,7 @@ type term = V of { v_name : string; v_sort : string } | A of op * term list
 type rule = { r_label : string; r_lhs : term; r_rhs : term; r_cond : term option }
 type rset = { rs_parent : rset option; rs_rules : rule list }
 
-type deriv = { d_in : term; d_out : term; d_node : dnode }
+type deriv = { d_id : int; d_in : term; d_out : term; d_node : dnode }
 
 and dnode =
   | Triv
@@ -63,6 +60,13 @@ type join = {
 
 type t = { reds : red list; lpo : lpo option; joins : join list }
 
+(* Node identities come from one process-wide counter, so two derivations
+   built anywhere (any builder, any domain) never share an id. *)
+let deriv_ids = Atomic.make 0
+
+let deriv ~d_in ~d_out d_node =
+  { d_id = Atomic.fetch_and_add deriv_ids 1; d_in; d_out; d_node }
+
 (* ------------------------------------------------------------------ *)
 (* Flags *)
 
@@ -98,15 +102,41 @@ let flag_of_name = function
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
 
-(* Physical-identity memo tables: cut DAG re-walks.  Terms and derivations
-   share subtrees, and a campaign's reds and joins name rule sets whose
-   parent chains all end in one flat base set of about a thousand rules;
-   without a rule-set memo every red and join re-walks its whole chain. *)
+(* Memo tables that cut DAG re-walks.  Terms and derivations share
+   subtrees, and a campaign's reds and joins name rule sets whose parent
+   chains all end in one flat base set of about a thousand rules; without
+   a rule-set memo every red and join re-walks its whole chain, and
+   without a rule memo every step re-interns its rule.
+
+   Derivations carry an id, so their memo is keyed by it.  Rules and rule
+   sets are keyed by physical identity.  So are terms, but [Hashtbl.hash]
+   of a term spends its bounded budget on the head [op] record, which
+   every term with that head shares; the term memo hashes operator and
+   variable names two levels deep instead. *)
+module Itbl = Hashtbl.Make (Int)
+
 module Phys = Hashtbl.Make (struct
   type t = Obj.t
 
   let equal = ( == )
   let hash = Hashtbl.hash
+end)
+
+let rec shape_hash depth = function
+  | V { v_name; _ } -> Hashtbl.hash v_name
+  | A (o, args) ->
+    let h = Hashtbl.hash o.op_name in
+    if depth = 0 then h else mix_shapes (depth - 1) h args
+
+and mix_shapes depth h = function
+  | [] -> h
+  | a :: rest -> mix_shapes depth ((h * 65599) + shape_hash depth a) rest
+
+module Term_phys = Hashtbl.Make (struct
+  type t = term
+
+  let equal = ( == )
+  let hash = shape_hash 2
 end)
 
 type 'k interner = {
@@ -137,9 +167,10 @@ let to_sexp (cert : t) : Sexp.t =
   let rules = interner () in
   let rsets = interner () in
   let derivs = interner () in
-  let term_phys : int Phys.t = Phys.create 4096 in
+  let term_phys : int Term_phys.t = Term_phys.create 4096 in
+  let rule_phys : int Phys.t = Phys.create 256 in
   let rset_phys : int Phys.t = Phys.create 256 in
-  let deriv_phys : int Phys.t = Phys.create 4096 in
+  let deriv_memo : int Itbl.t = Itbl.create 4096 in
   let op_id (o : op) =
     intern ops
       (o.op_name, o.op_arity, o.op_sort, o.op_flags)
@@ -155,7 +186,7 @@ let to_sexp (cert : t) : Sexp.t =
           @ List.map (fun f -> Sexp.Atom (flag_name f)) o.op_flags))
   in
   let rec term_id (t : term) =
-    match Phys.find_opt term_phys (Obj.repr t) with
+    match Term_phys.find_opt term_phys t with
     | Some id -> id
     | None ->
       let id =
@@ -182,24 +213,31 @@ let to_sexp (cert : t) : Sexp.t =
                 ([ Sexp.Atom "t"; atom_int id; Sexp.Atom "a"; atom_int oid ]
                 @ List.map atom_int aids))
       in
-      Phys.replace term_phys (Obj.repr t) id;
+      Term_phys.replace term_phys t id;
       id
   in
   let rule_id (r : rule) =
-    let lid = term_id r.r_lhs and rid = term_id r.r_rhs in
-    let cid = Option.map term_id r.r_cond in
-    intern rules
-      (r.r_label, lid, rid, cid)
-      (fun id ->
-        Sexp.List
-          ([
-             Sexp.Atom "rule";
-             atom_int id;
-             Sexp.Atom r.r_label;
-             atom_int lid;
-             atom_int rid;
-           ]
-          @ match cid with None -> [] | Some c -> [ atom_int c ]))
+    match Phys.find_opt rule_phys (Obj.repr r) with
+    | Some id -> id
+    | None ->
+      let lid = term_id r.r_lhs and rid = term_id r.r_rhs in
+      let cid = Option.map term_id r.r_cond in
+      let id =
+        intern rules
+          (r.r_label, lid, rid, cid)
+          (fun id ->
+            Sexp.List
+              ([
+                 Sexp.Atom "rule";
+                 atom_int id;
+                 Sexp.Atom r.r_label;
+                 atom_int lid;
+                 atom_int rid;
+               ]
+              @ match cid with None -> [] | Some c -> [ atom_int c ]))
+      in
+      Phys.replace rule_phys (Obj.repr r) id;
+      id
   in
   let rec rset_id (rs : rset) =
     match Phys.find_opt rset_phys (Obj.repr rs) with
@@ -216,7 +254,7 @@ let to_sexp (cert : t) : Sexp.t =
       id
   in
   let rec deriv_id (d : deriv) =
-    match Phys.find_opt deriv_phys (Obj.repr d) with
+    match Itbl.find_opt deriv_memo d.d_id with
     | Some id -> id
     | None ->
       let id =
@@ -280,7 +318,7 @@ let to_sexp (cert : t) : Sexp.t =
                  ]
                 @ perm_part @ step_part))
       in
-      Phys.replace deriv_phys (Obj.repr d) id;
+      Itbl.replace deriv_memo d.d_id id;
       id
   in
   let reds =
@@ -508,7 +546,7 @@ let of_sexp (sx : Sexp.t) : (t, string) result =
       | Sexp.List [ Sexp.Atom "d"; id; Sexp.Atom "triv"; tid ] ->
         let id = as_int "deriv id" id in
         let t = store_get terms (as_int "deriv term id" tid) in
-        store_add derivs id { d_in = t; d_out = t; d_node = Triv }
+        store_add derivs id (deriv ~d_in:t ~d_out:t Triv)
       | Sexp.List
           (Sexp.Atom "d" :: id :: Sexp.Atom "app" :: iid :: oid :: Sexp.List cids :: rest)
         ->
@@ -527,7 +565,7 @@ let of_sexp (sx : Sexp.t) : (t, string) result =
         let step =
           match rest with [] -> None | [ s ] -> Some (dec_step s) | _ -> bad "deriv %d: malformed" id
         in
-        store_add derivs id { d_in; d_out; d_node = App { children; perm; step } }
+        store_add derivs id (deriv ~d_in ~d_out (App { children; perm; step }))
       | _ -> bad "derivs: malformed entry"
     in
     let dec_red = function

@@ -66,7 +66,11 @@ type rule = { r_label : string; r_lhs : term; r_rhs : term; r_cond : term option
     [Rewrite.extend]). *)
 type rset = { rs_parent : rset option; rs_rules : rule list }
 
-type deriv = { d_in : term; d_out : term; d_node : dnode }
+(** A derivation node.  [d_id] is the node's identity, drawn from one
+    process-wide counter by {!deriv}, the only way to build one: the
+    encoder memoizes nodes by it (physical copies of one node get distinct
+    ids and are merged by content), the checker ignores it. *)
+type deriv = private { d_id : int; d_in : term; d_out : term; d_node : dnode }
 
 and dnode =
   | Triv  (** zero steps; [d_in == d_out] *)
@@ -102,6 +106,10 @@ type join = {
 }
 
 type t = { reds : red list; lpo : lpo option; joins : join list }
+
+(** [deriv ~d_in ~d_out node] builds a derivation node with a fresh
+    [d_id]. *)
+val deriv : d_in:term -> d_out:term -> dnode -> deriv
 
 val to_sexp : t -> Sexp.t
 val to_string : t -> string

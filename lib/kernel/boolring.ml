@@ -82,25 +82,47 @@ let is_true p = p = tru
 let is_false p = p = fls
 let equal (p : t) (q : t) = List.compare mono_compare p q = 0
 
-let rec of_term t =
-  match Term.view t with
-  | Term.App (o, []) when Signature.op_equal o B.tt -> tru
-  | Term.App (o, []) when Signature.op_equal o B.ff -> fls
-  | Term.App (o, [ a ]) when Signature.op_equal o B.not_ -> not_ (of_term a)
-  | Term.App (o, [ a; b ]) when Signature.op_equal o B.and_ ->
-    and_ (of_term a) (of_term b)
-  | Term.App (o, [ a; b ]) when Signature.op_equal o B.or_ ->
-    or_ (of_term a) (of_term b)
-  | Term.App (o, [ a; b ]) when Signature.op_equal o B.xor ->
-    xor_ (of_term a) (of_term b)
-  | Term.App (o, [ a; b ]) when Signature.op_equal o B.implies ->
-    implies_ (of_term a) (of_term b)
-  | Term.App (o, [ a; b ]) when Signature.op_equal o B.iff ->
-    iff_ (of_term a) (of_term b)
-  | Term.App (o, [ c; a; b ]) when B.is_if o && Sort.equal (Term.sort t) Sort.bool ->
-    let c = of_term c and a = of_term a and b = of_term b in
-    xor_ (and_ c (xor_ a b)) b
-  | Term.App _ | Term.Var _ -> atom t
+(* [of_term] carries [env], the atoms fixed by the enclosing [if]s, and
+   returns the polynomial of [t] with those atoms substituted.  An [if]
+   whose condition is one atom [x] (or its negation) is expanded as
+   [x·(a|x:=1) ⊕ (1⊕x)·(b|x:=0)]: each branch is converted with [x] fixed,
+   so a tower of such [if]s never multiplies out a branch the tower's own
+   atoms would collapse.  Any other condition [c] gives [c·(a⊕b) ⊕ b]. *)
+let of_term t =
+  let rec go env t =
+    match Term.view t with
+    | Term.App (o, []) when Signature.op_equal o B.tt -> tru
+    | Term.App (o, []) when Signature.op_equal o B.ff -> fls
+    | Term.App (o, [ a ]) when Signature.op_equal o B.not_ -> not_ (go env a)
+    | Term.App (o, [ a; b ]) when Signature.op_equal o B.and_ ->
+      and_ (go env a) (go env b)
+    | Term.App (o, [ a; b ]) when Signature.op_equal o B.or_ ->
+      or_ (go env a) (go env b)
+    | Term.App (o, [ a; b ]) when Signature.op_equal o B.xor ->
+      xor_ (go env a) (go env b)
+    | Term.App (o, [ a; b ]) when Signature.op_equal o B.implies ->
+      implies_ (go env a) (go env b)
+    | Term.App (o, [ a; b ]) when Signature.op_equal o B.iff ->
+      iff_ (go env a) (go env b)
+    | Term.App (o, [ c; a; b ]) when B.is_if o && Sort.equal (Term.sort t) Sort.bool -> (
+      let split x on_true on_false =
+        let p1 = go ((x, true) :: env) on_true
+        and p0 = go ((x, false) :: env) on_false in
+        xor_ (and_ [ [ x ] ] (xor_ p1 p0)) p0
+      in
+      match go env c with
+      | [ [ x ] ] -> split x a b
+      | [ []; [ x ] ] -> split x b a
+      | c ->
+        let a = go env a and b = go env b in
+        xor_ (and_ c (xor_ a b)) b)
+    | Term.App _ | Term.Var _ -> (
+      match atom t with
+      | [ [ x ] ] as p -> (
+        match List.assq_opt x env with Some v -> if v then tru else fls | None -> p)
+      | p -> p)
+  in
+  go [] t
 
 let mono_to_term = function
   | [] -> Term.tt

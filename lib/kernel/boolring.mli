@@ -46,7 +46,15 @@ val equal : t -> t -> bool
 (** [of_term t] converts a [Bool]-sorted term to its polynomial: builtin
     connectives (including [Bool]-sorted [if_then_else]) are interpreted,
     everything else becomes an atom.  Trivially reflexive equality atoms
-    collapse to [true]. *)
+    collapse to [true].
+
+    Cost: each connective costs what {!xor_} or {!and_} costs on its
+    operands' polynomials.  A Bool [if] whose condition is a single atom
+    [x] (or [not x]) converts each branch with [x] fixed to its value
+    ([x·(a|x:=1) ⊕ (1⊕x)·(b|x:=0)]), so the product it forms is one atom
+    times a branch already reduced by every enclosing condition: a tower
+    of such [if]s never multiplies out a polynomial its own atoms would
+    collapse.  Any other condition [c] costs a product [|c|·|a⊕b|]. *)
 val of_term : Term.t -> t
 
 (** [to_term p] renders the polynomial back as a term (xor of conjunctions,

@@ -31,21 +31,23 @@ let rec contexts t =
     in
     here :: sub
 
-let rename_apart =
-  let counter = ref 0 in
-  fun (r : Rewrite.rule) ->
-    incr counter;
-    let tag = Printf.sprintf "%%kb%d-" !counter in
-    let sub =
-      Subst.of_list
-        (List.map
-           (fun (v : Term.var) ->
-             v, Term.var (tag ^ v.v_name) v.v_sort)
-           (Term.vars r.Rewrite.lhs))
-    in
-    Rewrite.rule ~label:r.Rewrite.label
-      (Subst.apply sub r.Rewrite.lhs)
-      (Subst.apply sub r.Rewrite.rhs)
+(* One process-wide tag counter: pool domains rename concurrently (the
+   independence analysis calls [overlaps] from every worker), so each call
+   draws its tag with one atomic fetch-and-add. *)
+let tag_counter = Atomic.make 0
+let draw_tag () = Atomic.fetch_and_add tag_counter 1 + 1
+
+let rename_apart (r : Rewrite.rule) =
+  let tag = Printf.sprintf "%%kb%d-" (draw_tag ()) in
+  let sub =
+    Subst.of_list
+      (List.map
+         (fun (v : Term.var) -> v, Term.var (tag ^ v.v_name) v.v_sort)
+         (Term.vars r.Rewrite.lhs))
+  in
+  Rewrite.rule ~label:r.Rewrite.label
+    (Subst.apply sub r.Rewrite.lhs)
+    (Subst.apply sub r.Rewrite.rhs)
 
 type overlap = {
   outer : Rewrite.rule;  (** the rule whose left-hand side hosts the overlap *)
@@ -66,30 +68,63 @@ type overlap = {
    subterm containing a variable new), so renaming per pair floods the
    intern table.  A shared copy is sound because its tag came from the
    global counter, so it cannot collide with variables of any rule that
-   existed before it was made. *)
+   existed before it was made.
+
+   [Matching.unify] compares operators by name ([Signature.op_equal]) and
+   arity, and only ever binds variables, so [r2]'s lhs can unify with a
+   position of [r1]'s lhs only if their operator skeletons agree wherever
+   both have an operator.  When no position passes that test the answer
+   is [] and nothing is renamed — the usual case for a pair of observer
+   equations [o(a(S,P),Q)], which differ in the observer or the action.
+   The skip still draws the tag [rename_apart] would have drawn, so every
+   later renaming gets the variable names it gets without the skip. *)
+let rec compatible s t =
+  match Term.view s, Term.view t with
+  | Term.Var _, _ | _, Term.Var _ -> true
+  | Term.App (o1, a1), Term.App (o2, a2) ->
+    Signature.op_equal o1 o2 && compatible_args a1 a2
+
+and compatible_args a1 a2 =
+  match a1, a2 with
+  | [], [] -> true
+  | x :: a1, y :: a2 -> compatible x y && compatible_args a1 a2
+  | _ :: _, [] | [], _ :: _ -> false
+
+let rec some_position lhs2 t =
+  match Term.view t with
+  | Term.Var _ -> false
+  | Term.App (_, args) -> compatible t lhs2 || List.exists (some_position lhs2) args
+
 let overlaps ?renamed2 (r1 : Rewrite.rule) (r2 : Rewrite.rule) =
-  let same = Term.equal r1.Rewrite.lhs r2.Rewrite.lhs && Term.equal r1.Rewrite.rhs r2.Rewrite.rhs in
-  let orig2 = r2 in
-  let r2 = match renamed2 with Some r -> r | None -> rename_apart r2 in
-  List.filter_map
-    (fun (s, rebuild) ->
-      match Term.view s with
-      | Term.Var _ -> None
-      | Term.App _ ->
-        let at_root = Term.equal s r1.Rewrite.lhs in
-        if same && at_root then None
-        else
-          Option.map
-            (fun sub ->
-              {
-                outer = r1;
-                inner = orig2;
-                peak = Subst.apply sub r1.Rewrite.lhs;
-                left = Subst.apply sub (rebuild r2.Rewrite.rhs);
-                right = Subst.apply sub r1.Rewrite.rhs;
-              })
-            (Matching.unify s r2.Rewrite.lhs))
-    (contexts r1.Rewrite.lhs)
+  if not (some_position r2.Rewrite.lhs r1.Rewrite.lhs) then begin
+    if Option.is_none renamed2 then ignore (draw_tag ());
+    []
+  end
+  else
+    let same =
+      Term.equal r1.Rewrite.lhs r2.Rewrite.lhs && Term.equal r1.Rewrite.rhs r2.Rewrite.rhs
+    in
+    let orig2 = r2 in
+    let r2 = match renamed2 with Some r -> r | None -> rename_apart r2 in
+    List.filter_map
+      (fun (s, rebuild) ->
+        match Term.view s with
+        | Term.Var _ -> None
+        | Term.App _ ->
+          let at_root = Term.equal s r1.Rewrite.lhs in
+          if same && at_root then None
+          else
+            Option.map
+              (fun sub ->
+                {
+                  outer = r1;
+                  inner = orig2;
+                  peak = Subst.apply sub r1.Rewrite.lhs;
+                  left = Subst.apply sub (rebuild r2.Rewrite.rhs);
+                  right = Subst.apply sub r1.Rewrite.rhs;
+                })
+              (Matching.unify s r2.Rewrite.lhs))
+      (contexts r1.Rewrite.lhs)
 
 let critical_pairs r1 r2 =
   List.map (fun o -> o.left, o.right) (overlaps r1 r2)

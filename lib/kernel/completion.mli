@@ -39,7 +39,14 @@ type overlap = {
     [renamed2] supplies a pre-renamed copy of [r2], letting a caller that
     pairs [r2] against many partners rename once instead of per pair (the
     hash-consed kernel would otherwise intern a fresh copy of the rule's
-    term DAG for every call). *)
+    term DAG for every call).
+
+    A pair that cannot overlap — no position of [r1]'s lhs agrees with
+    [r2]'s lhs on operator names and arities wherever both have an
+    operator — gives [] without renaming.  Without [renamed2] every call,
+    skipped or not, draws exactly one tag from a process-wide atomic
+    counter, so the counter's value after a pass does not depend on which
+    pairs were skipped, nor on how calls interleaved across domains. *)
 val overlaps : ?renamed2:Rewrite.rule -> Rewrite.rule -> Rewrite.rule -> overlap list
 
 (** [critical_pairs r1 r2] is [overlaps r1 r2] reduced to the divergent

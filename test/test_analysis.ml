@@ -337,15 +337,9 @@ let test_certify_shipped_specs () =
 
 let test_certify_generated_tls () =
   let r =
-    (* independence over all 378 TLS action pairs costs ~40 s and is
-       exercised (focused, certified and replayed) by the mc-reduction
-       suite; this test certifies termination/confluence. *)
+    (* every default checker, independence over all 378 TLS action pairs
+       included, exactly as the lint gate runs them *)
     Analysis.Lint.run
-      ~opts:
-        {
-          Analysis.Lint.default_options with
-          Analysis.Lint.skip = [ "independence" ];
-        }
       [
         Analysis.Lint.Generated
           { label = "generated:tls"; spec = Tls.Model.spec Tls.Model.Original };
@@ -357,7 +351,9 @@ let test_certify_generated_tls () =
     Alcotest.(check (option bool)) "terminating" (Some true) m.Analysis.Lint.m_terminating;
     Alcotest.(check (option bool)) "joinable" (Some true) m.Analysis.Lint.m_joinable;
     Alcotest.(check bool) "thousands of pairs actually checked" true
-      (match m.Analysis.Lint.m_pairs with Some n -> n > 1000 | None -> false)
+      (match m.Analysis.Lint.m_pairs with Some n -> n > 1000 | None -> false);
+    Alcotest.(check (option (pair int int))) "independent action pairs" (Some (265, 378))
+      m.Analysis.Lint.m_independent
   | ms -> Alcotest.failf "expected one module, got %d" (List.length ms)
 
 (* ------------------------------------------------------------------ *)

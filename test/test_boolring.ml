@@ -7,7 +7,11 @@
    over seven atoms — four boolean constants and three equality atoms, each
    written in both orientations, plus a reflexive equality — and every
    builtin connective, including [iff] and a [Bool]-sorted [if_then_else].
-   [assign] and [of_term] are also checked against truth tables. *)
+   [assign] and [of_term] are also checked against truth tables.
+   [Ref.of_term] expands every [if] as [c·(a⊕b) ⊕ b] over its expanded
+   branches, while the kernel expands each branch of an atom-conditioned
+   [if] with the atom fixed; hypothesis towers shaped like the
+   independence analyzer's exercise that difference. *)
 
 open Kernel
 module B = Signature.Builtin
@@ -189,6 +193,32 @@ let arb_assign =
       Printf.sprintf "%s  [%s := %b]" (Term.to_string f) (Term.to_string at) v)
     QCheck.Gen.(triple gen_formula gen_atom bool)
 
+(* Hypothesis towers as [Indep.join_under] builds them:
+   [if h_n then … (if h_1 then core else x) … else x] over one shared else
+   variable.  Conditions are atoms (equality atoms in both orientations and
+   the reflexive one among them), negated atoms and compound formulas; the
+   core is a formula over the same leaves, so it reuses the tower's
+   atoms. *)
+let tower_else = Term.var "br!else" Sort.bool
+
+let gen_condition =
+  QCheck.Gen.(
+    frequency
+      [
+        4, gen_atom;
+        2, map Term.not_ gen_atom;
+        1, map2 Term.and_ gen_atom gen_atom;
+        1, map2 Term.or_ gen_atom (map Term.not_ gen_atom);
+        1, map2 Term.xor gen_atom gen_atom;
+      ])
+
+let tower hyps core = List.fold_left (fun acc h -> Term.ite h acc tower_else) core hyps
+
+let gen_tower =
+  QCheck.Gen.(map2 tower (list_size (int_bound 10) gen_condition) gen_formula)
+
+let arb_tower = QCheck.make ~print:Term.to_string gen_tower
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -223,6 +253,24 @@ let prop_assign_truth =
       let p = Boolring.to_term (Boolring.assign (Boolring.of_term f) at v) in
       List.for_all (fun mask -> eval mask p = eval (force mask at v) f) valuations)
 
+let prop_of_term_tower =
+  QCheck.Test.make ~name:"of_term matches the reference on hypothesis towers" ~count:300
+    arb_tower (fun t -> agrees (Boolring.of_term t) (Ref.of_term t))
+
+(* A non-Bool atom is refused wherever it sits — also in a branch whose
+   condition an enclosing [if] has already fixed, which the expansion
+   never uses but must still convert. *)
+let test_non_bool_atom () =
+  let p = List.hd leaves and q = List.nth leaves 1 in
+  let hidden = Term.app_unchecked B.and_ [ q; da ] in
+  let dead_branch = Term.ite p (Term.ite p q hidden) tower_else in
+  List.iter
+    (fun (what, t) ->
+      match Boolring.of_term t with
+      | _ -> Alcotest.failf "%s: no Invalid_argument" what
+      | exception Invalid_argument _ -> ())
+    [ "bare", da; "under a connective", hidden; "in a dead branch", dead_branch ]
+
 let test_fixture_atoms () =
   Alcotest.(check int) "seven distinct atoms" 7 (List.length canon_atoms);
   let ab = Term.eq da db and ba = Term.eq db da in
@@ -233,10 +281,14 @@ let test_fixture_atoms () =
 
 let suite =
   ( "boolring",
-    [ "fixture atoms", `Quick, test_fixture_atoms ]
+    [
+      "fixture atoms", `Quick, test_fixture_atoms;
+      "non-Bool atom raises", `Quick, test_non_bool_atom;
+    ]
     @ List.map QCheck_alcotest.to_alcotest
         [
           prop_of_term;
+          prop_of_term_tower;
           prop_binary "and_" Boolring.and_ Ref.and_;
           prop_binary "or_" Boolring.or_ Ref.or_;
           prop_binary "implies_" Boolring.implies_ Ref.implies_;

@@ -83,7 +83,7 @@ let map_root_app what (d : C.deriv) f =
   match d.C.d_node with
   | C.App { children; perm; step } ->
     let children, perm, step = f children perm step in
-    { d with C.d_node = C.App { children; perm; step } }
+    C.deriv ~d_in:d.C.d_in ~d_out:d.C.d_out (C.App { children; perm; step })
   | C.Triv -> Alcotest.failf "%s: expected an app derivation at the root" what
 
 let map_root_step what (d : C.deriv) f =
@@ -211,7 +211,7 @@ let test_join_cert () =
   let cterm name = C.A ({ C.op_name = name; op_arity = []; op_sort = "TcNat"; op_flags = [] }, []) in
   let l = cterm "tcA" in
   let r = cterm "tcB" in
-  let triv t = { C.d_in = t; d_out = t; d_node = C.Triv } in
+  let triv t = C.deriv ~d_in:t ~d_out:t C.Triv in
   let rs = { C.rs_parent = None; rs_rules = [] } in
   let join jc_right =
     {
@@ -277,7 +277,7 @@ let test_rset_sharing () =
   done;
   let twin () = { C.rs_parent = None; rs_rules = [ base_rule 0; base_rule 1 ] } in
   let t = const "k0" in
-  let triv = { C.d_in = t; d_out = t; d_node = C.Triv } in
+  let triv = C.deriv ~d_in:t ~d_out:t C.Triv in
   let red i rs =
     let red_name = Printf.sprintf "r%d" i in
     { C.red_name; red_rset = rs; red_in = t; red_out = t; red_deriv = triv }
@@ -346,9 +346,9 @@ let golden_cert () =
   let gate = rule ~cond:(isz vn) "tc-gate" (plus vn vn) z in
   let base = { C.rs_parent = None; rs_rules = [ p0; ps; iszr; gate ] } in
   let child = { C.rs_parent = Some base; rs_rules = [ rule "ground" ca cb ] } in
-  let triv t = { C.d_in = t; d_out = t; d_node = C.Triv } in
+  let triv t = C.deriv ~d_in:t ~d_out:t C.Triv in
   let app ?perm ?step d_in d_out children =
-    { C.d_in; d_out; d_node = C.App { children; perm; step } }
+    C.deriv ~d_in ~d_out (C.App { children; perm; step })
   in
   let step ?cond r sub next = { C.s_rule = r; s_sub = sub; s_cond = cond; s_next = next } in
   (* tcP(tcZ, tcZ) -> tcZ by tc-p0 *)
@@ -428,6 +428,40 @@ let test_golden_encoding () =
   | Error m -> Alcotest.failf "golden certificate does not decode: %s" m
   | Ok cert -> Alcotest.(check bool) "golden round-trips" true (C.equal (golden_cert ()) cert)
 
+(* The encoder memoizes derivations by node id and terms, rules and rule
+   sets by physical identity, then merges by content: a certificate whose
+   obligations each carry their own physically distinct copy of one DAG
+   (every [golden_cert ()] call builds fresh terms, rules, rule sets and
+   derivations) must encode to the same bytes as one whose obligations
+   share a single copy, and its decoded form must re-encode to them. *)
+let test_physical_copies () =
+  let copies = 6 in
+  let repeat (c : C.t) =
+    {
+      c with
+      C.reds = List.concat (List.init copies (fun _ -> c.C.reds));
+      joins = List.concat (List.init copies (fun _ -> c.C.joins));
+    }
+  in
+  let shared = repeat (golden_cert ()) in
+  let certs = List.init copies (fun _ -> golden_cert ()) in
+  let copied =
+    {
+      (List.hd certs) with
+      C.reds = List.concat_map (fun (c : C.t) -> c.C.reds) certs;
+      joins = List.concat_map (fun (c : C.t) -> c.C.joins) certs;
+    }
+  in
+  let text = C.to_string shared in
+  Alcotest.(check string) "copies encode like the shared DAG" text (C.to_string copied);
+  Alcotest.(check int) "one entry per distinct derivation" 11
+    (List.length (section "derivs" text));
+  match C.of_string text with
+  | Error m -> Alcotest.failf "encoded certificate does not decode: %s" m
+  | Ok cert ->
+    Alcotest.(check bool) "round-trip is equal" true (C.equal copied cert);
+    Alcotest.(check string) "re-encoding is byte-identical" text (C.to_string cert)
+
 (* ------------------------------------------------------------------ *)
 (* Serialization fuzz: random certificates (weird atom spellings
    included) must round-trip to structurally identical values. *)
@@ -473,7 +507,7 @@ let gen_cert =
       (fun lhs rhs ->
         let rule = { C.r_label = "g"; r_lhs = lhs; r_rhs = lhs; r_cond = None } in
         let rs = { C.rs_parent = None; rs_rules = [ rule ] } in
-        let d = { C.d_in = rhs; d_out = rhs; d_node = C.Triv } in
+        let d = C.deriv ~d_in:rhs ~d_out:rhs C.Triv in
         {
           C.reds =
             [ { C.red_name = "r0"; red_rset = rs; red_in = rhs; red_out = rhs; red_deriv = d } ];
@@ -503,5 +537,6 @@ let suite =
       "join certificate and unjoined tamper", `Quick, test_join_cert;
       "encoder emits each rule set once", `Quick, test_rset_sharing;
       "encoder golden bytes", `Quick, test_golden_encoding;
+      "encoder merges physical copies", `Quick, test_physical_copies;
       QCheck_alcotest.to_alcotest prop_roundtrip;
     ] )

@@ -234,6 +234,196 @@ let qcheck_cases =
       prop_group_normalize_idempotent;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Differential: [Completion.overlaps] answers [] without renaming when no
+   position of the first lhs agrees with the second lhs on its operator
+   skeleton.  [Ref] is the unfiltered algorithm it replaced: rename, then
+   try to unify at every non-variable position.  Over every ordered rule
+   pair of the generated TLS spec and of every module of specs/*.cafe,
+   both give the same overlaps term for term, with a shared renamed copy
+   and on the default path, whose copy carries the tag the call drew; and
+   each call on the default path draws exactly one tag. *)
+
+module Ref = struct
+  let rec contexts t =
+    let here = t, fun x -> x in
+    match Term.view t with
+    | Term.Var _ -> [ here ]
+    | Term.App (o, args) ->
+      here
+      :: List.concat
+           (List.mapi
+              (fun i a ->
+                List.map
+                  (fun (s, rebuild) ->
+                    ( s,
+                      fun x ->
+                        Term.app_unchecked o
+                          (List.mapi (fun j b -> if i = j then rebuild x else b) args) ))
+                  (contexts a))
+              args)
+
+  let rename tag (r : Rewrite.rule) =
+    let sub =
+      Subst.of_list
+        (List.map
+           (fun (v : Term.var) -> v, Term.var (tag ^ v.Term.v_name) v.Term.v_sort)
+           (Term.vars r.Rewrite.lhs))
+    in
+    Rewrite.rule ~label:r.Rewrite.label
+      (Subst.apply sub r.Rewrite.lhs)
+      (Subst.apply sub r.Rewrite.rhs)
+
+  (* [ctx1] is [contexts r1.lhs]; [r2'] is [r2] renamed apart *)
+  let overlaps ctx1 r2' (r1 : Rewrite.rule) (r2 : Rewrite.rule) =
+    let same =
+      Term.equal r1.Rewrite.lhs r2.Rewrite.lhs && Term.equal r1.Rewrite.rhs r2.Rewrite.rhs
+    in
+    List.filter_map
+      (fun (s, rebuild) ->
+        match Term.view s with
+        | Term.Var _ -> None
+        | Term.App _ ->
+          if same && Term.equal s r1.Rewrite.lhs then None
+          else
+            Option.map
+              (fun sub ->
+                {
+                  Completion.outer = r1;
+                  inner = r2;
+                  peak = Subst.apply sub r1.Rewrite.lhs;
+                  left = Subst.apply sub (rebuild r2'.Rewrite.rhs);
+                  right = Subst.apply sub r1.Rewrite.rhs;
+                })
+              (Matching.unify s r2'.Rewrite.lhs))
+      ctx1
+end
+
+let ref_tag = "%ref-"
+
+let starts_with pre s =
+  String.length s >= String.length pre && String.sub s 0 (String.length pre) = pre
+
+(* The variables of [t] renamed with [ref_tag], renamed with tag [k]. *)
+let retag k t =
+  let tag = Printf.sprintf "%%kb%d-" k in
+  let rec go t =
+    match Term.view t with
+    | Term.Var v when starts_with ref_tag v.Term.v_name ->
+      let n = String.length ref_tag in
+      Term.var (tag ^ String.sub v.Term.v_name n (String.length v.Term.v_name - n)) v.Term.v_sort
+    | Term.Var _ -> t
+    | Term.App (o, args) -> Term.app_unchecked o (List.map go args)
+  in
+  go t
+
+(* The tag the next renaming will draw, read off a self-overlap: its
+   overlap term carries the renamed copy's variables.  Draws one tag. *)
+let probe_rule =
+  let p = Signature.declare sg "kb-probe" [ g ] g ~attrs:[] in
+  Rewrite.rule ~label:"kb-probe" (Term.app p [ Term.app p [ x ] ]) x
+
+let drawn_tag () =
+  match Completion.overlaps probe_rule probe_rule with
+  | [ o ] -> (
+    match
+      List.find_map
+        (fun (v : Term.var) ->
+          let n = v.Term.v_name in
+          if starts_with "%kb" n then
+            int_of_string_opt (String.sub n 3 (String.index n '-' - 3))
+          else None)
+        (Term.vars o.Completion.peak)
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "probe overlap carries no renamed variable")
+  | os -> Alcotest.failf "probe rule: %d overlaps, expected 1" (List.length os)
+
+let same_overlaps what (expected : Completion.overlap list) (got : Completion.overlap list) =
+  let same (a : Completion.overlap) (b : Completion.overlap) =
+    a.Completion.outer == b.Completion.outer
+    && a.Completion.inner == b.Completion.inner
+    && Term.equal a.Completion.peak b.Completion.peak
+    && Term.equal a.Completion.left b.Completion.left
+    && Term.equal a.Completion.right b.Completion.right
+  in
+  if not (List.length expected = List.length got && List.for_all2 same expected got) then
+    Alcotest.failf "%s: %d overlaps differ from the unfiltered reference's %d" (what ())
+      (List.length got) (List.length expected)
+
+let check_overlaps name (rules : Rewrite.rule list) =
+  let arr = Array.of_list rules in
+  let renamed = Array.map (Ref.rename ref_tag) arr in
+  let first = drawn_tag () in
+  let calls = ref 0 and found = ref 0 in
+  Array.iter
+    (fun (r1 : Rewrite.rule) ->
+      let ctx1 = Ref.contexts r1.Rewrite.lhs in
+      Array.iteri
+        (fun j (r2 : Rewrite.rule) ->
+          let what () = Printf.sprintf "%s: %s into %s" name r2.Rewrite.label r1.Rewrite.label in
+          let expected = Ref.overlaps ctx1 renamed.(j) r1 r2 in
+          same_overlaps (fun () -> what () ^ " (shared copy)") expected
+            (Completion.overlaps ~renamed2:renamed.(j) r1 r2);
+          found := !found + List.length expected;
+          let tag = first + 1 + !calls in
+          incr calls;
+          same_overlaps what
+            (List.map
+               (fun (o : Completion.overlap) ->
+                 {
+                   o with
+                   Completion.peak = retag tag o.Completion.peak;
+                   left = retag tag o.Completion.left;
+                   right = retag tag o.Completion.right;
+                 })
+               expected)
+            (Completion.overlaps r1 r2))
+        arr)
+    arr;
+  Alcotest.(check int) (name ^ ": one tag per call") (first + !calls + 1) (drawn_tag ());
+  !found
+
+let spec_modules path =
+  let src = In_channel.with_open_bin path In_channel.input_all in
+  let program = Cafeobj.Parser.parse_string src in
+  let env = Cafeobj.Eval.create () in
+  List.iter (fun (phrase, _) -> ignore (Cafeobj.Eval.eval env phrase)) program;
+  List.filter_map
+    (fun (phrase, _) ->
+      match phrase with
+      | Cafeobj.Parser.TModule (n, _) -> Cafeobj.Eval.find_module env n
+      | _ -> None)
+    program
+
+let spec_files () =
+  let dir =
+    match List.find_opt Sys.file_exists [ "../specs"; "../../specs"; "specs"; "../../../specs" ] with
+    | Some d -> d
+    | None -> Alcotest.fail "specs directory not found"
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".cafe")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+let test_overlaps_differential () =
+  let found =
+    check_overlaps "generated TLS"
+      (Cafeobj.Spec.all_rules (Tls.Model.spec Tls.Model.Original))
+  in
+  Alcotest.(check bool) "generated TLS has overlaps" true (found > 0);
+  List.iter
+    (fun path ->
+      List.iter
+        (fun spec ->
+          let rules = Cafeobj.Spec.all_rules spec in
+          let name = Filename.basename path ^ ":" ^ Cafeobj.Spec.name spec in
+          let found = check_overlaps name rules in
+          Alcotest.(check bool) (name ^ " has overlaps") true (found > 0))
+        (spec_modules path))
+    (spec_files ())
+
 let tests =
   [
     "lpo subterm", `Quick, test_lpo_subterm;
@@ -252,6 +442,7 @@ let tests =
     "group non-theorems", `Quick, test_group_non_theorems;
     "unorientable failure", `Quick, test_unorientable_failure;
     "rule limit", `Quick, test_rule_limit;
+    "overlaps skip matches unfiltered", `Quick, test_overlaps_differential;
   ]
   @ qcheck_cases
 

@@ -299,6 +299,53 @@ let test_indep_cert_replays_tls () =
           Alcotest.fail (name ^ " certificate rejected: " ^ crumb)))
     [ "tls-original", Tls.Model.Original; "tls-variant", Tls.Model.Cf2First ]
 
+(* The cached reductions' independence results, pinned byte for byte: the
+   certificate (hypotheses and both sides of every claim of every
+   independent pair) and, since the certificate records no join status,
+   a digest of every claim's [cl_status] over all pairs.  A change to the
+   boolean ring, the overlap enumeration or the join machinery that moves
+   one verdict or one recorded term fails here. *)
+let status_string = function
+  | Analysis.Confluence.Syntactic -> "syn"
+  | Analysis.Confluence.Semantic -> "sem"
+  | Analysis.Confluence.Undecided -> "und"
+  | Analysis.Confluence.Unjoinable (l, r) ->
+    "unj " ^ Kernel.Term.to_string l ^ " / " ^ Kernel.Term.to_string r
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_indep_oracles_pinned () =
+  List.iter
+    (fun (name, result, pairs, cert_md5, status_md5) ->
+      match Lazy.force result with
+      | None -> Alcotest.failf "%s: no independence result" name
+      | Some (r : Indep.result) ->
+        Alcotest.(check (pair int int))
+          (name ^ " pairs independent") pairs
+          (r.Indep.r_independent, r.Indep.r_total);
+        Alcotest.(check string)
+          (name ^ " certificate md5") cert_md5
+          (md5 (Sexp.to_string (Indep.certificate r)));
+        let statuses =
+          List.concat_map
+            (fun (p : Indep.pair) ->
+              List.map (fun (c : Indep.claim) -> status_string c.Indep.cl_status) p.Indep.p_claims)
+            r.Indep.r_pairs
+        in
+        Alcotest.(check string)
+          (name ^ " claim status md5") status_md5
+          (md5 (String.concat "\n" statuses)))
+    [
+      ( "TLS Original", lazy (Tls.Concrete.independence Tls.Model.Original), (300, 300),
+        "7068ff8730bed8f06a948f44db53fc6e", "98f56cd69cec14de50b6c42d4e3ef4ce" );
+      ( "TLS Cf2First", lazy (Tls.Concrete.independence Tls.Model.Cf2First), (300, 300),
+        "023bc0a8a0dc53b0a69a5fde84be3283", "95424b24cd459b53556a333e699e50ec" );
+      ( "NSPK classic", lazy (Nspk.independence Nspk.Classic), (39, 39),
+        "d345b103e35446ef10a6a03a0230b8a5", "f3a4d0f75ce56eca6bd77e7ced1ebcf3" );
+      ( "NSL", lazy (Nspk.independence Nspk.Lowe_fixed), (39, 39),
+        "b660b8efc7eed105f0c10f39080c585d", "f3a4d0f75ce56eca6bd77e7ced1ebcf3" );
+    ]
+
 (* Replace the first claim's left-hand term with a wrong one; the checker
    must reject with a breadcrumb locating the forged claim. *)
 let rec tamper_left = function
@@ -397,6 +444,7 @@ let tests =
     "indep cert replays (nsl)", `Quick, test_indep_cert_replays_nsl;
     "indep cert replays (tls both styles)", `Quick, test_indep_cert_replays_tls;
     "indep forged cert rejected", `Quick, test_indep_cert_forged_rejected;
+    "indep oracles pinned", `Quick, test_indep_oracles_pinned;
     "symmetry cert replays", `Quick, test_symmetry_cert_replays;
     "symmetry forged cert rejected", `Quick, test_symmetry_cert_forged_rejected;
   ]
