@@ -196,7 +196,8 @@ let scope_for_red env in_module =
       | Some sc -> sc
       | None -> fail "no module to reduce in"))
 
-let eval env (phrase : Parser.toplevel) =
+let eval ?(step_limit = Rewrite.default_step_limit) ?(deadline_s = 0.) env
+    (phrase : Parser.toplevel) =
   match phrase with
   | Parser.TModule (name, decls) ->
     let spec = Spec.create ~imports:(imports_of env decls) name in
@@ -212,9 +213,12 @@ let eval env (phrase : Parser.toplevel) =
     let sc = scope_for_red env in_module in
     let input = elaborate sc t in
     let sys = Spec.system sc.spec in
-    (* [Spec.system] is cached per spec; re-assert the env's choice each
-       red so flipping the flag mid-session takes effect. *)
+    (* [Spec.system] is cached per spec; re-assert the env's flag and this
+       call's limits each red so flipping the flag mid-session takes
+       effect, and no earlier red's limits stay behind on the system. *)
     Rewrite.set_indexing sys env.indexing;
+    Rewrite.set_step_limit sys step_limit;
+    Rewrite.set_deadline sys deadline_s;
     let before = Rewrite.steps sys in
     if env.tracing then begin
       let normal_form, deriv = Rewrite.normalize_traced sys input in

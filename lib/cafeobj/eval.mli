@@ -46,10 +46,15 @@ type output =
 
 exception Error of string
 
-(** [eval env phrase] executes one toplevel phrase.  [red] commands reduce
-    in the module named by [in], in the currently open scratch module, or
-    in the most recently defined module, in that order of preference. *)
-val eval : env -> Parser.toplevel -> output
+(** [eval ?step_limit ?deadline_s env phrase] executes one toplevel
+    phrase.  [red] commands reduce in the module named by [in], in the
+    currently open scratch module, or in the most recently defined module,
+    in that order of preference, with at most [step_limit] rule
+    applications and [deadline_s] CPU-seconds, whatever limits an earlier
+    call reduced under.  An absent limit is {!Kernel.Rewrite}'s default:
+    {!Kernel.Rewrite.default_step_limit} steps, no deadline.  A [red] past
+    a limit raises {!Kernel.Rewrite.Limit_exceeded}. *)
+val eval : ?step_limit:int -> ?deadline_s:float -> env -> Parser.toplevel -> output
 
 (** [eval_string env src] parses and evaluates a whole program. *)
 val eval_string : env -> string -> output list

@@ -111,6 +111,12 @@ type t = { reds : red list; lpo : lpo option; joins : join list }
     [d_id]. *)
 val deriv : d_in:term -> d_out:term -> dnode -> deriv
 
+(** Tables keyed by a term's physical identity.  They hash operator and
+    variable names two levels deep: the bounded [Hashtbl.hash] would
+    spend its budget on the head [op] record, which every term with that
+    head shares. *)
+module Term_phys : Hashtbl.S with type key = term
+
 val to_sexp : t -> Sexp.t
 val to_string : t -> string
 val of_sexp : Sexp.t -> (t, string) result

@@ -12,7 +12,9 @@ type error = { e_path : string; e_msg : string }
 
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.e_path e.e_msg
 
-(* Physical-identity memo tables (certificate ASTs are DAGs). *)
+(* Physical-identity memo tables (certificate ASTs are DAGs).  Terms go in
+   [C.Term_phys], which hashes them by shape; rules, rule sets and
+   derivations in [Phys]. *)
 module Phys = Hashtbl.Make (struct
   type t = Obj.t
 
@@ -90,7 +92,7 @@ let rebuild o args =
    order, so no engine ordering convention is trusted and no search is
    performed. *)
 let rec canon memo t =
-  match Phys.find_opt memo (Obj.repr t) with
+  match C.Term_phys.find_opt memo t with
   | Some c -> c
   | None ->
     let c =
@@ -106,7 +108,7 @@ let rec canon memo t =
         if term_compare a b <= 0 then C.A (o, [ a; b ]) else C.A (o, [ b; a ])
       | C.A (o, args) -> C.A (o, List.map (canon memo) args)
     in
-    Phys.replace memo (Obj.repr t) c;
+    C.Term_phys.replace memo t c;
     c
 
 (* [Term.replace] mirror: replace every occurrence, no descent into
@@ -219,8 +221,8 @@ let lpo ~prec s t =
 
 type t = {
   cert : C.t;
-  canon_memo : C.term Phys.t;
-  wf_memo : unit Phys.t;
+  canon_memo : C.term C.Term_phys.t;
+  wf_memo : unit C.Term_phys.t;
   rule_memo : unit Phys.t;
   deriv_memo : (IntSet.t, error) result Phys.t;
   rset_memo : IntSet.t Phys.t;
@@ -317,7 +319,7 @@ let check_op path (o : C.op) =
     o.C.op_flags
 
 let rec wf_term ck path t =
-  if not (Phys.mem ck.wf_memo (Obj.repr t)) then begin
+  if not (C.Term_phys.mem ck.wf_memo t) then begin
     (match t with
     | C.V _ -> ()
     | C.A (o, args) ->
@@ -336,7 +338,7 @@ let rec wf_term ck path t =
         args o.C.op_arity;
       if has_flag C.Tt o then ck.tt_term <- Some t;
       if has_flag C.Ff o then ck.ff_term <- Some t);
-    Phys.replace ck.wf_memo (Obj.repr t) ()
+    C.Term_phys.replace ck.wf_memo t ()
   end
 
 let wf_rule ck path (r : C.rule) =
@@ -641,8 +643,8 @@ let check_lpo ck : error list =
 let create (cert : C.t) : t =
   {
     cert;
-    canon_memo = Phys.create 4096;
-    wf_memo = Phys.create 4096;
+    canon_memo = C.Term_phys.create 4096;
+    wf_memo = C.Term_phys.create 4096;
     rule_memo = Phys.create 256;
     deriv_memo = Phys.create 4096;
     rset_memo = Phys.create 64;

@@ -63,9 +63,10 @@ type sys_info = {
 (* ------------------------------------------------------------------ *)
 (* Normal-form memo.
 
-   Hash-consed terms make the memo a pointer-keyed table with a
-   precomputed hash — no recursive hashing or comparison on lookup.  The
-   table is striped (mutex per shard, shard picked by the term's hash) so
+   Hash-consed terms make the memo a pointer-keyed table hashed by the
+   term's id ([Term.id_hash]) — no recursive hashing or comparison on
+   lookup.  The table is striped (mutex per shard, shard picked by bits
+   of the [id_hash] well above those its shard's table indexes with) so
    the sched pool's domains share one read-mostly memo without contending
    on a single lock.  Every entry is stamped with the memo's generation at
    store time; [invalidate] bumps the generation, turning all existing
@@ -106,7 +107,7 @@ let c_memo_misses = Probe.counter "kernel.memo.misses"
 let c_memo_invalidations = Probe.counter "kernel.memo.invalidations"
 
 let memo_find m t =
-  let s = m.m_shards.(Term.hash t land (memo_shard_count - 1)) in
+  let s = m.m_shards.((Term.id_hash t lsr 32) land (memo_shard_count - 1)) in
   Mutex.lock s.ms_lock;
   let r = Term.Tbl.find_opt s.ms_tbl t in
   Mutex.unlock s.ms_lock;
@@ -122,7 +123,7 @@ let memo_find m t =
 
 let memo_store m t nf =
   let g = Atomic.get m.m_gen in
-  let s = m.m_shards.(Term.hash t land (memo_shard_count - 1)) in
+  let s = m.m_shards.((Term.id_hash t lsr 32) land (memo_shard_count - 1)) in
   Mutex.lock s.ms_lock;
   Term.Tbl.replace s.ms_tbl t (g, nf);
   Mutex.unlock s.ms_lock
@@ -204,9 +205,11 @@ let default_indexing_flag = Atomic.make true
 let set_default_indexing b = Atomic.set default_indexing_flag b
 let default_indexing () = Atomic.get default_indexing_flag
 
+let default_step_limit = 5_000_000
+
 (* A new system over [layers]: fresh memo, and unless given, the default
    limits, indexing flag and a step counter of its own. *)
-let assemble ?(indexing = default_indexing ()) ?(step_limit = 5_000_000)
+let assemble ?(indexing = default_indexing ()) ?(step_limit = default_step_limit)
     ?(deadline = 0.) ?(steps_total = Atomic.make 0) layers info =
   {
     layers;

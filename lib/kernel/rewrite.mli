@@ -90,8 +90,11 @@ type limit = Steps of int | Deadline of float
 
 exception Limit_exceeded of { limit : limit; steps : int }
 
+(** The step limit of a new system: [5_000_000]. *)
+val default_step_limit : int
+
 (** [set_step_limit sys n] caps the number of rule applications in a single
-    [normalize] call (default [5_000_000]). *)
+    [normalize] call (default {!default_step_limit}). *)
 val set_step_limit : system -> int -> unit
 
 (** [set_deadline sys d] additionally caps a single [normalize] call at [d]

@@ -24,13 +24,28 @@ let view t = t.node
 (* ------------------------------------------------------------------ *)
 (* The intern table.
 
-   Sharded like a striped lock: the shard index comes from the structural
-   hash, each shard guards a private hashtable with its own mutex.  Terms
-   are built bottom-up, so a node's children are already interned when the
-   node itself is — one-level ("shallow") keys with children compared by
-   pointer are therefore complete structural keys.  The pattern follows
-   the thread-safe [Sort] intern table; sharding keeps the proof pool's
-   domains off each other's locks. *)
+   Terms are built bottom-up, so a node's children are already interned
+   when the node itself is — one-level ("shallow") keys with children
+   compared by pointer are therefore complete structural keys.
+
+   The table is not keyed by the structural [hash].  That hash orders AC
+   arguments (see [ac_compare]), so it must be a pure function of
+   structure, and it folds each child in with an xor that cancels:
+   [hash (s (s x))] and [hash x] agree below the sign bit, so every even
+   Peano numeral shares one hash and every odd one another.  The key
+   folds the children's ids into the node's hash instead, through a
+   63-bit splitmix finalizer: [key = mix (... mix (mix h + id1) ... + idn)]
+   (Filliâtre and Conchon's type-safe hash-consing keys nodes by their
+   children's tags the same way).  Equal nodes have physically equal
+   children, hence equal keys; a live entry holds its children, so their
+   ids cannot change under it.
+
+   Sharded like a striped lock: each of the 256 shards is an
+   open-addressing table guarded by its own mutex, which keeps the proof
+   pool's domains off each other's locks.  The shard comes from the key's
+   high bits (54-61) and the slot within the shard from its low 32.  Were
+   they the same bits, every key a shard receives would agree on them, and
+   the shard would fill only the few slots they select. *)
 
 let combine h x = (h * 0x01000193) lxor (x land max_int)
 
@@ -68,42 +83,152 @@ let node_equal n1 n2 =
     phys_eq a1 a2
   | Var _, App _ | App _, Var _ -> false
 
+(* Splitmix64's finalizer, its multipliers cut to OCaml's 63-bit [int]
+   (still odd, so every step is a bijection). *)
+let mix x =
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+(* Non-negative, so that [-1] can mark an empty slot. *)
+let node_key h = function
+  | Var _ -> mix h land max_int
+  | App (_, args) -> List.fold_left (fun k a -> mix (k + a.id)) (mix h) args land max_int
+
 (* Weak shards: the intern table must not keep terms alive — a proof
    campaign builds hundreds of millions of transient terms, and a strong
    table would root them all, growing the major heap (and every later GC
    mark phase) without bound.  Entries vanish once the last outside
    reference dies; a parent's node holds its children strongly, so
-   children outlive their parents. *)
-module WTbl = Weak.Make (struct
-  type nonrec t = t
+   children outlive their parents.
 
-  let equal t1 t2 = node_equal t1.node t2.node
-  let hash t = t.hash
-end)
+   A shard probes linearly through a weak array of slots beside an array
+   of their keys ([-1]: never filled).  A slot whose term died keeps its
+   key, and probes walk past it.  Once filled slots, live or dead, pass
+   half the capacity, the shard is rebuilt from its live entries at
+   three times their count, so it shrinks as well as grows.  The
+   rebuild copies with [Weak.check] and [Weak.blit], never
+   [Weak.get]: a term returned by [get] is reachable again, and during a
+   marking phase that keeps a dying term alive for another major
+   cycle. *)
+type shard = {
+  lock : Mutex.t;
+  mutable slots : t Weak.t;
+  mutable keys : int array;
+  mutable filled : int;  (* slots with a key, live or dead *)
+}
 
-type shard = { lock : Mutex.t; tbl : WTbl.t }
+(* A shard starts at, and never shrinks below, [shard_min] slots: room
+   for the few thousand terms a process interns while it starts up, which
+   would otherwise rebuild every shard three times over (each rebuild
+   allocating its weak array in the major heap), for 256 KiB in all. *)
+let shard_bits = 8
+let shard_count = 1 lsl shard_bits
+let shard_min = 64
 
-let shard_count = 256
-let shards = Array.init shard_count (fun _ -> { lock = Mutex.create (); tbl = WTbl.create 512 })
+let shards =
+  Array.init shard_count (fun _ ->
+      {
+        lock = Mutex.create ();
+        slots = Weak.create shard_min;
+        keys = Array.make shard_min (-1);
+        filled = 0;
+      })
+
 let next_id = Atomic.make 0
 
-let intern_table_len () =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = WTbl.count s.tbl in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 shards
+(* Every weak array the table keeps comes from a domain that outlives it:
+   the main domain, or else one allocator domain.  Under the OCaml 5.1.1
+   runtime, weak arrays allocated by a domain that has since terminated
+   can be left holding freed keys, and a later [Weak.check] or
+   [Weak.blit] on one faults in the runtime's [caml_ephe_clean]
+   (EXPERIMENTS.md E24: a stand-alone program faults within seconds when
+   its rebuilt arrays come from domains it respawns, and never when they
+   come from the main domain or from a domain that lives on).  Pool
+   workers, and the domains a test runs a daemon on, terminate; so a
+   shard rebuilt on any domain but the main one takes its new array from
+   the allocator.  That domain is spawned on the first such rebuild,
+   lives as long as the process, and only ever waits for the next
+   request. *)
+module Alloc = struct
+  let lock = Mutex.create ()
+  let wake = Condition.create ()
+  let request = ref 0 (* the size asked for; 0 while none is pending *)
+  let reply : t Weak.t option ref = ref None
+  let client = Mutex.create () (* one request in flight *)
+  let started = ref false
+
+  let serve () =
+    Mutex.lock lock;
+    while true do
+      if !request = 0 then Condition.wait wake lock
+      else begin
+        reply := Some (Weak.create !request);
+        request := 0;
+        Condition.broadcast wake
+      end
+    done
+
+  let weak n =
+    if Domain.is_main_domain () then Weak.create n
+    else
+      Mutex.protect client @@ fun () ->
+      Mutex.protect lock @@ fun () ->
+      if not !started then begin
+        ignore (Domain.spawn serve);
+        started := true
+      end;
+      request := n;
+      Condition.broadcast wake;
+      let rec await () =
+        match !reply with
+        | Some w ->
+          reply := None;
+          w
+        | None ->
+          Condition.wait wake lock;
+          await ()
+      in
+      await ()
+end
+
+let shard_live s =
+  let n = ref 0 in
+  for i = 0 to Weak.length s.slots - 1 do
+    if Weak.check s.slots i then incr n
+  done;
+  !n
+
+(* The slot of key [k] in a shard of [cap] slots: its low 32 bits scaled
+   to [cap] by a multiply and a shift, so [cap] need not be a power of
+   two and a shard can be rebuilt at exactly three times its live count. *)
+let slot_of k cap = ((k land 0xffff_ffff) * cap) lsr 32
+let next_slot i cap = if i + 1 = cap then 0 else i + 1
+
+let rebuild s =
+  let cap = max shard_min (3 * shard_live s) in
+  let slots = Alloc.weak cap and keys = Array.make cap (-1) in
+  let filled = ref 0 in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 && Weak.check s.slots i then begin
+        let j = ref (slot_of k cap) in
+        while keys.(!j) >= 0 do
+          j := next_slot !j cap
+        done;
+        keys.(!j) <- k;
+        Weak.blit s.slots i slots !j 1;
+        incr filled
+      end)
+    s.keys;
+  s.slots <- slots;
+  s.keys <- keys;
+  s.filled <- !filled
 
 let intern_shard_stats () =
-  Array.map
-    (fun s ->
-      Mutex.lock s.lock;
-      let n = WTbl.count s.tbl in
-      Mutex.unlock s.lock;
-      n)
-    shards
+  Array.map (fun s -> Mutex.protect s.lock (fun () -> shard_live s)) shards
+
+let intern_table_len () = Array.fold_left ( + ) 0 (intern_shard_stats ())
 
 (* AC argument order: hash-major with a structural tie-break — never the
    id.  Ids are not stable over time (the intern table is weak: a term can
@@ -170,35 +295,57 @@ let canonical_of node =
     a.canonical && b.canonical && ac_compare a b <= 0
   | App (_, args) -> List.for_all (fun a -> a.canonical) args
 
-(* [merge] returns the interned representative: the candidate is inserted
-   when new, dropped in favour of the existing record otherwise.  A dropped
-   candidate wastes one id, so ids are sparse but still strictly increasing
-   from children to parents. *)
+let fresh node h =
+  {
+    node;
+    id = Atomic.fetch_and_add next_id 1;
+    hash = h;
+    term_size =
+      (match node with
+      | Var _ -> 1
+      | App (_, args) -> List.fold_left (fun n a -> n + a.term_size) 1 args);
+    term_depth =
+      (match node with
+      | Var _ -> 1
+      | App (_, args) -> 1 + List.fold_left (fun n a -> max n a.term_depth) 0 args);
+    ground =
+      (match node with
+      | Var _ -> false
+      | App (_, args) -> List.for_all (fun a -> a.ground) args);
+    canonical = canonical_of node;
+  }
+
+(* The interned representative of [node]: the live entry with its key
+   and structure if there is one, a fresh record in the first empty slot
+   of the probe otherwise.  The record is built, and its id drawn, only
+   on a miss, while the shard is locked; ids are therefore still strictly
+   increasing from children to parents. *)
+let find_or_add s node h k =
+  let cap = Array.length s.keys in
+  let rec probe i =
+    let ki = s.keys.(i) in
+    if ki < 0 then begin
+      let t = fresh node h in
+      s.keys.(i) <- k;
+      Weak.set s.slots i (Some t);
+      s.filled <- s.filled + 1;
+      if 2 * s.filled > cap then rebuild s;
+      t
+    end
+    else if ki = k then
+      match Weak.get s.slots i with
+      | Some t when node_equal t.node node -> t
+      | Some _ | None -> probe (next_slot i cap)
+    else probe (next_slot i cap)
+  in
+  probe (slot_of k cap)
+
 let intern node =
   let h = node_hash node in
-  let s = shards.(h land (shard_count - 1)) in
-  let cand =
-    {
-      node;
-      id = Atomic.fetch_and_add next_id 1;
-      hash = h;
-      term_size =
-        (match node with
-        | Var _ -> 1
-        | App (_, args) -> List.fold_left (fun n a -> n + a.term_size) 1 args);
-      term_depth =
-        (match node with
-        | Var _ -> 1
-        | App (_, args) -> 1 + List.fold_left (fun n a -> max n a.term_depth) 0 args);
-      ground =
-        (match node with
-        | Var _ -> false
-        | App (_, args) -> List.for_all (fun a -> a.ground) args);
-      canonical = canonical_of node;
-    }
-  in
+  let k = node_key h node in
+  let s = shards.(k lsr (62 - shard_bits)) in
   Mutex.lock s.lock;
-  match WTbl.merge s.tbl cand with
+  match find_or_add s node h k with
   | t ->
     Mutex.unlock s.lock;
     t
@@ -272,6 +419,7 @@ let equal t1 t2 = t1 == t2
 let compare t1 t2 = Int.compare t1.id t2.id
 let hash t = t.hash
 let id t = t.id
+let id_hash t = mix t.id
 
 let vars t =
   let rec go acc t =
@@ -376,5 +524,5 @@ module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let hash = hash
+  let hash = id_hash
 end)

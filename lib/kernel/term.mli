@@ -90,12 +90,20 @@ val equal : t -> t -> bool
     processes or runs. *)
 val compare : t -> t -> int
 
-(** [hash t] is the precomputed structural hash, consistent with {!equal}
-    and stable across processes. *)
+(** [hash t] is the ordering hash: precomputed, structural, consistent
+    with {!equal} and stable across processes, which is what
+    {!ac_compare}, {!Set}, {!Map} and every serialized order read it for.
+    It is not a table key: it folds children in with an xor that cancels,
+    so [hash (f (f x))] and [hash x] agree below the sign bit for any
+    unary [f].  Key tables by {!id_hash}. *)
 val hash : t -> int
 
 (** [id t] is [t]'s unique intern id. *)
 val id : t -> int
+
+(** [id_hash t] is a well-mixed hash of {!id}, the hash {!Tbl} keys by.
+    Like the id it is not stable across processes or over time. *)
+val id_hash : t -> int
 
 (** [ac_compare] — the total order used to canonicalize AC/Comm argument
     lists (and every other order that leaks into stored term structure):
@@ -150,8 +158,10 @@ val rename : (t * t) list -> t -> t
 val intern_table_len : unit -> int
 
 (** [intern_shard_stats ()] is the live-entry count of each of the intern
-    table's shards (index = shard number).  Occupancy skew across shards
-    indicates structural-hash imbalance; the telemetry layer reports the
+    table's shards (index = shard number).  A shard is chosen by the high
+    bits of an intern key that mixes a node's hash with its children's
+    ids, so occupancy skew across shards indicates key imbalance, not
+    structural-hash imbalance; the telemetry layer reports the
     min/mean/max at flush time. *)
 val intern_shard_stats : unit -> int array
 
@@ -170,7 +180,8 @@ val pp : Format.formatter -> t -> unit
 
 (** {!Set} and {!Map} order elements by {!ac_compare} (structure-stable),
     so iteration order does not depend on intern-table allocation
-    history. *)
+    history.  {!Tbl} hashes by {!id_hash}: its iteration order does
+    depend on that history, so nothing may iterate one into an output. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

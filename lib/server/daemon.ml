@@ -237,17 +237,10 @@ let metrics_response resident =
     }
 
 let handle_eval resident ~step_limit ~deadline_s src emit =
-  (* [red] runs synchronously on the event loop: evals are bounded by the
-     per-request step limit / deadline, which is also what makes this the
-     direct wire exercise of Limit_exceeded. *)
-  let apply_limits name =
-    match Cafeobj.Eval.find_module resident.eval_env name with
-    | Some spec ->
-      let sys = Cafeobj.Spec.system spec in
-      Option.iter (Kernel.Rewrite.set_step_limit sys) step_limit;
-      Option.iter (Kernel.Rewrite.set_deadline sys) deadline_s
-    | None -> ()
-  in
+  (* [red] runs synchronously on the event loop: every red this request
+     makes is bounded by the request's own step limit / deadline (absent
+     ones by the kernel's defaults), whichever module it reduces in.  This
+     is also the direct wire exercise of Limit_exceeded. *)
   match Cafeobj.Parser.parse_string src with
   | exception Cafeobj.Parser.Error m ->
     emit (P.Rerror { code = "eval"; msg = m });
@@ -264,10 +257,9 @@ let handle_eval resident ~step_limit ~deadline_s src emit =
     try
       List.iter
         (fun (phrase, _pos) ->
-          let out = Cafeobj.Eval.eval resident.eval_env phrase in
-          (match out with
-          | Cafeobj.Eval.Defined m -> apply_limits m
-          | _ -> ());
+          let out =
+            Cafeobj.Eval.eval ?step_limit ?deadline_s resident.eval_env phrase
+          in
           emit (P.Reval { text = Format.asprintf "%a" Cafeobj.Eval.pp_output out }))
         program;
       Exit.ok

@@ -236,6 +236,146 @@ let test_uncached_matches_memoized () =
   Alcotest.(check int) "uncached leaves memo alone" entries
     (Rewrite.memo_stats sys).Rewrite.entries
 
+(* ------------------------------------------------------------------ *)
+(* Intern keys and the id-keyed term table *)
+
+(* [Term.hash] orders AC arguments and is read by every serialized order
+   (sets, canonical forms, state keys, certificates), so it must not move:
+   the values below are goldens.  It is an ordering hash, not a table
+   key: [hash (s (s 0))] and [hash 0] agree below the sign bit. *)
+let test_ordering_hash_pinned () =
+  let x = Term.var "X" nat and z = Term.const zero in
+  let s1 = Term.app succ [ z ] in
+  let ss = Term.app succ [ s1 ] in
+  List.iter
+    (fun (what, t, h) -> Alcotest.(check int) what h (Term.hash t))
+    [
+      "variable", x, 3782792666611113351;
+      "constant", z, 44535112856503551;
+      "s(s(0))", ss, -4567150905570884353;
+      "binary", Term.app plus [ x; s1 ], 4079469961789098791;
+      "AC", Term.app union [ z; x ], -4405291044718999974;
+      "Bool if", Term.ite (Term.eq x z) s1 z, -3057076236672791293;
+    ];
+  Alcotest.(check int) "s(s(0)) cancels to 0 below the sign bit"
+    (Term.hash z land max_int) (Term.hash ss land max_int)
+
+(* Numerals of a fresh sort: every even one has one ordering hash and
+   every odd one another, so keyed by that hash they would share two
+   buckets of a [Term.Tbl] and two intern shards. *)
+let test_numerals_spread () =
+  let sn = Sort.visible "HcSpread" in
+  let z = Signature.declare sg "hcSp0" [] sn ~attrs:[ Signature.Ctor ] in
+  let s = Signature.declare sg "hcSpS" [ sn ] sn ~attrs:[ Signature.Ctor ] in
+  let n = 5_000 in
+  Gc.full_major ();
+  let before = Term.intern_shard_stats () in
+  let nums = Array.make n (Term.const z) in
+  for k = 1 to n - 1 do
+    nums.(k) <- Term.app s [ nums.(k - 1) ]
+  done;
+  let after = Term.intern_shard_stats () in
+  let tbl = Term.Tbl.create 16 in
+  Array.iter (fun t -> Term.Tbl.replace tbl t ()) nums;
+  Alcotest.(check int) "all numerals distinct" n (Term.Tbl.length tbl);
+  let st = Term.Tbl.stats tbl in
+  Alcotest.(check bool)
+    (Printf.sprintf "Term.Tbl max bucket %d <= 16" st.Hashtbl.max_bucket_length)
+    true
+    (st.Hashtbl.max_bucket_length <= 16);
+  let gain = Array.mapi (fun i a -> a - before.(i)) after in
+  let gained = Array.fold_left (fun c g -> if g > 0 then c + 1 else c) 0 gain in
+  let most = Array.fold_left max 0 gain in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d shards gained >= 200" gained)
+    true (gained >= 200);
+  Alcotest.(check bool)
+    (Printf.sprintf "largest shard gain %d <= 100" most)
+    true (most <= 100);
+  (* keep the numerals alive until the counts are taken *)
+  Alcotest.(check bool) "numerals alive" true (Term.size nums.(n - 1) = n)
+
+(* Two pool domains intern the same 50 000 terms in opposite orders,
+   each dropping two transient terms per kept one and forcing a full
+   major GC between batches, so that shards rebuild while entries die
+   under them.  Whoever interns a term first, both get the one record. *)
+let test_concurrent_intern_gc () =
+  let nums = Array.init 250 church in
+  let dim_a = 250 and dim_b = 200 in
+  let n = dim_a * dim_b and batch = 5_000 in
+  let build i = Term.app plus [ nums.(i mod dim_a); nums.(i / dim_a) ] in
+  let run backwards =
+    let out = Array.make n (Term.const zero) in
+    for j = 0 to n - 1 do
+      let i = if backwards then n - 1 - j else j in
+      let t = build i in
+      ignore (Term.app succ [ t ] : Term.t);
+      ignore (Term.app union [ t; nums.(i / dim_a) ] : Term.t);
+      out.(i) <- t;
+      if (j + 1) mod batch = 0 then Gc.full_major ()
+    done;
+    out
+  in
+  let fwd, bwd =
+    match
+      Sched.Pool.with_pool ~jobs:2 (fun pool ->
+          Sched.Pool.parallel_map pool run [ false; true ])
+    with
+    | [ fwd; bwd ] -> fwd, bwd
+    | _ -> assert false
+  in
+  let shared = ref 0 and ordered = ref 0 in
+  for i = 0 to n - 1 do
+    let t = fwd.(i) in
+    if t == bwd.(i) && t == build i then incr shared;
+    match Term.view t with
+    | Term.App (_, args) ->
+      if List.for_all (fun a -> Term.id a < Term.id t) args then incr ordered
+    | Term.Var _ -> ()
+  done;
+  Alcotest.(check int) "equal structure, one record" n !shared;
+  Alcotest.(check int) "ids increase from children to parents" n !ordered
+
+(* Round after round, two fresh domains intern terms beside the main
+   domain and terminate, as pool workers and a test's daemon domain do,
+   while the GC runs under them, so shards are rebuilt on domains that
+   then terminate.  Such a shard's new weak array must come from a domain
+   that outlives it (see [Term]'s [Alloc]): under OCaml 5.1 a table whose
+   terminating domains allocated their own arrays faulted at random on a
+   freed key, about one run in a dozen of the full suite.  At this size
+   the fault is too rare to show in one run; the test checks that the
+   path works and keeps the table consistent. *)
+let test_terminating_domains_intern () =
+  let cs = Array.init 64 (fun k -> Term.app succ [ church k ]) in
+  let keep = Array.make 4096 (Term.const zero) in
+  let work seed n =
+    let rnd = Random.State.make [| seed |] in
+    for i = 1 to n do
+      let a = cs.(Random.State.int rnd 64) and b = cs.(Random.State.int rnd 64) in
+      let t = Term.app plus [ a; Term.app plus [ b; Term.app succ [ a ] ] ] in
+      let t = Term.app plus [ t; Term.app succ [ Term.app succ [ t ] ] ] in
+      if i mod 7 = 0 then keep.(Random.State.int rnd 4096) <- t;
+      if i mod 2_500 = 0 then ignore (Gc.major_slice 0 : int)
+    done
+  in
+  for round = 1 to 20 do
+    let ds =
+      List.init 2 (fun k -> Domain.spawn (fun () -> work ((round * 10) + k) 10_000))
+    in
+    work ((round * 10) + 5) 5_000;
+    List.iter Domain.join ds
+  done;
+  Gc.full_major ();
+  let ok =
+    Array.for_all
+      (fun t ->
+        match Term.view t with
+        | Term.App (f, args) -> Term.app f args == t
+        | Term.Var _ -> true)
+      keep
+  in
+  Alcotest.(check bool) "kept terms re-intern to themselves" true ok
+
 let qcheck_cases =
   List.map
     (QCheck_alcotest.to_alcotest ?verbose:None ?long:None)
@@ -260,5 +400,12 @@ let suite =
       Alcotest.test_case "intern table length" `Quick test_intern_table_len;
       Alcotest.test_case "uncached path matches memoized" `Quick
         test_uncached_matches_memoized;
+      Alcotest.test_case "ordering hash pinned" `Quick test_ordering_hash_pinned;
+      Alcotest.test_case "numerals spread over table and shards" `Quick
+        test_numerals_spread;
+      Alcotest.test_case "two domains intern through GC and rebuilds" `Quick
+        test_concurrent_intern_gc;
+      Alcotest.test_case "terminating domains intern through GC" `Quick
+        test_terminating_domains_intern;
     ]
     @ qcheck_cases )

@@ -483,6 +483,50 @@ let test_live_timeout_keeps_connection () =
   Alcotest.(check bool) "pong received" true
     (List.exists (function P.Pong _ -> true | _ -> false) resps)
 
+let peano_module =
+  "mod LPEANO {\n  [ PNat ]\n  op 0 : -> PNat { ctor } .\n\
+  \  op s : PNat -> PNat { ctor } .\n  op plus : PNat PNat -> PNat .\n\
+  \  op times : PNat PNat -> PNat .\n  vars M N : PNat .\n\
+  \  eq plus(0, N) = N .\n  eq plus(s(M), N) = s(plus(M, N)) .\n\
+  \  eq times(0, N) = 0 .\n  eq times(s(M), N) = plus(N, times(M, N)) .\n}\n"
+
+let rec peano n = if n = 0 then "0" else "s(" ^ peano (n - 1) ^ ")"
+
+(* Limits belong to the request, not to the module: a red-only request
+   is bounded by its own step limit although an earlier request defined
+   the module, and that limit does not stay behind for the next request,
+   on this connection or another. *)
+let test_live_eval_limits_per_request () =
+  with_daemon ~jobs:1 @@ fun socket ->
+  Server.Client.with_client ~socket @@ fun c1 ->
+  Server.Client.with_client ~socket @@ fun c2 ->
+  let eval c ?step_limit src =
+    Server.Client.request_collect c (P.Eval { src; step_limit; deadline_s = None })
+  in
+  let _, code = eval c1 peano_module in
+  Alcotest.(check int) "module defined" Exit.ok code;
+  let red = Printf.sprintf "red in LPEANO : times(%s, %s) .\n" (peano 5) (peano 5) in
+  let resps, code = eval c1 ~step_limit:10 red in
+  Alcotest.(check int) "limited red times out" Exit.timeout code;
+  Alcotest.(check bool) "structured step timeout" true
+    (List.exists
+       (function P.Rtimeout { limit = `Steps 10; _ } -> true | _ -> false)
+       resps);
+  let resps, code = eval c2 red in
+  Alcotest.(check int) "unlimited red from the other connection" Exit.ok code;
+  let nf = "result: " ^ peano 25 ^ " " in
+  Alcotest.(check bool) "normal form reached" true
+    (List.exists
+       (function
+         | P.Reval { text } ->
+           let n = String.length nf in
+           let rec has i =
+             i + n <= String.length text && (String.sub text i n = nf || has (i + 1))
+           in
+           has 0
+         | _ -> false)
+       resps)
+
 let test_live_protocol_error () =
   with_daemon ~jobs:1 @@ fun socket ->
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
@@ -915,6 +959,8 @@ let tests =
         test_live_verify_identity;
       Alcotest.test_case "live: timeout is a verdict, not a hangup" `Slow
         test_live_timeout_keeps_connection;
+      Alcotest.test_case "live: eval limits apply per request" `Slow
+        test_live_eval_limits_per_request;
       Alcotest.test_case "live: protocol errors answered, daemon survives"
         `Slow test_live_protocol_error;
       Alcotest.test_case "live: secrecy served and cached" `Slow
