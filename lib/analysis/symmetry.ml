@@ -175,13 +175,41 @@ let rec permutations = function
    construction.  Permutations that agree on the pool constants occurring
    in the state give the same image, so each distinct image is remapped
    and keyed once, and the identity's image (the state itself) never is:
-   neither can beat an earlier candidate under the strict [<]. *)
+   neither can beat an earlier candidate under the strict [<].
+
+   Terms are renamed through a memo, one table per permutation, that maps
+   a term to its image under the whole permutation, not under the map
+   restricted to the constants of the state at hand.  For a term [remap]
+   touches the two images are equal: [iter_terms] covers that term, so
+   every pool constant in it occurs in the state, and there the two maps
+   agree.  An image therefore holds for every state the term occurs in,
+   and a state's images cost lookups.  The memo belongs to the closure,
+   one set of tables per domain that calls it (pool workers canonize
+   under [Mc.par_bfs ~reduction]), and is freed with it. *)
 let canonizer pool ~iter_terms ~remap ~key =
   if List.length pool < 2 then fun st -> st
   else
-    let perms = List.map (List.combine pool) (permutations pool) in
+    (* each permutation as the pairs it moves *)
+    let perms =
+      Array.of_list
+        (List.map
+           (fun p -> List.filter (fun (c, d) -> c != d) (List.combine pool p))
+           (permutations pool))
+    in
     let same m1 m2 = List.equal (fun (c, d) (c', d') -> c == c' && d == d') m1 m2 in
+    let memos = Atomic.make [] in
+    let rec own_memo () =
+      let self = (Domain.self () :> int) in
+      let seen = Atomic.get memos in
+      match List.find_opt (fun (d, _) -> Int.equal d self) seen with
+      | Some (_, memo) -> memo
+      | None ->
+        let memo = Array.map (fun _ -> Term.Tbl.create 64) perms in
+        if Atomic.compare_and_set memos seen ((self, memo) :: seen) then memo
+        else own_memo ()
+    in
     fun st ->
+      let memo = own_memo () in
       let occurring = ref [] in
       let rec scan t =
         match Term.view t with
@@ -193,14 +221,23 @@ let canonizer pool ~iter_terms ~remap ~key =
       in
       iter_terms scan st;
       let best = ref st and best_key = ref (lazy (key st)) and tried = ref [] in
-      List.iter
-        (fun perm ->
-          match List.filter (fun (c, d) -> c != d && List.memq c !occurring) perm with
+      Array.iteri
+        (fun i perm ->
+          match List.filter (fun (c, _) -> List.memq c !occurring) perm with
           | [] -> ()
           | map when List.exists (same map) !tried -> ()
           | map ->
             tried := map :: !tried;
-            let st' = remap (Term.rename map) st in
+            let images = memo.(i) in
+            let image t =
+              match Term.Tbl.find_opt images t with
+              | Some t' -> t'
+              | None ->
+                let t' = Term.rename perm t in
+                Term.Tbl.add images t t';
+                t'
+            in
+            let st' = remap image st in
             let k' = key st' in
             if String.compare k' (Lazy.force !best_key) < 0 then begin
               best := st';

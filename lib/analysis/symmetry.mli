@@ -46,6 +46,11 @@ val orbit_elems : result -> candidates:Term.t list -> Term.t list
     [g] applied to each of them.  Each distinct image is remapped and keyed
     once: permutations that agree on the pool constants occurring in [st]
     share an image, and the identity's image, [st] itself, is skipped.
+    The [g] given to [remap] renames under the whole permutation, with
+    each term's image memoized by the returned closure, per permutation
+    and per calling domain (so the closure may run on several domains at
+    once).  That is the image under [st]'s own pool constants only
+    because [iter_terms] reaches every term [remap] touches.
     The identity when [pool] has fewer than two elements. *)
 val canonizer :
   Term.t list ->

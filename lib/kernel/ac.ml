@@ -38,13 +38,31 @@ let ac_equal t1 t2 = Term.equal (normalize t1) (normalize t2)
 (* AC matching by backtracking over multiset assignments.
 
    [select xs] enumerates ways to pick one element out of [xs], returning the
-   element and the remainder. *)
+   element and the remainder.  An element physically equal to one picked
+   before is passed over: its remainder is the same multiset, so every
+   matcher down that branch repeats one found earlier, and [dedup] would
+   drop it. *)
 let select xs =
   let rec go before = function
     | [] -> []
-    | x :: after -> (x, List.rev_append before after) :: go (x :: before) after
+    | x :: after ->
+      if List.memq x before then go (x :: before) after
+      else (x, List.rev_append before after) :: go (x :: before) after
   in
   go [] xs
+
+(* [remove_each xs from] takes, for each element of [xs] in turn, the last
+   element of [from] physically equal to it out of [from]; [None] when one
+   is missing. *)
+let remove_each xs from =
+  let rec remove_last x = function
+    | [] -> None
+    | y :: ys -> (
+      match remove_last x ys with
+      | Some ys' -> Some (y :: ys')
+      | None -> if y == x then Some ys else None)
+  in
+  List.fold_left (fun acc x -> Option.bind acc (remove_last x)) (Some from) xs
 
 (* Enumerate the non-empty sub-multisets of [xs] as (subset, rest). *)
 let rec submultisets = function
@@ -105,12 +123,23 @@ and match_ac sub op pats subjects k =
     match flex with
     | [] -> if remaining = [] then k sub else []
     | [ v ] -> bind_var sub v remaining k
-    | v :: vs ->
-      List.concat_map
-        (fun (inside, outside) ->
-          Telemetry.Probe.incr c_backtracks;
-          bind_var sub v inside (fun sub' -> distribute sub' vs outside k))
-        (nonempty_submultisets remaining)
+    | v :: vs -> (
+      match Term.view v with
+      | Term.Var x when Option.is_some (Subst.find sub x) -> (
+        (* A bound variable takes exactly its value's arguments.  Of the
+           sub-multisets that hold them, the enumeration below reaches
+           first the one taking the last occurrence of each, and the later
+           ones only repeat its matchers: go there directly. *)
+        Telemetry.Probe.incr c_backtracks;
+        match remove_each (flatten op (normalize (Subst.apply sub v))) remaining with
+        | Some outside -> distribute sub vs outside k
+        | None -> [])
+      | Term.Var _ | Term.App _ ->
+        List.concat_map
+          (fun (inside, outside) ->
+            Telemetry.Probe.incr c_backtracks;
+            bind_var sub v inside (fun sub' -> distribute sub' vs outside k))
+          (nonempty_submultisets remaining))
   and bind_var sub v pieces k =
     match pieces with
     | [] -> []

@@ -150,30 +150,30 @@ let knowledge st =
     st.kn <- Some k;
     k
 
-let add_run b r =
-  let add = Term.add_to_buffer b in
-  add r.who;
+let add_run add b r =
+  add b r.who;
   Buffer.add_char b '-';
-  add r.peer;
+  add b r.peer;
   Buffer.add_char b '-';
-  add r.na;
+  add b r.na;
   Buffer.add_char b '-';
-  match r.nb with None -> Buffer.add_char b '_' | Some n -> add n
+  match r.nb with None -> Buffer.add_char b '_' | Some n -> add b n
 
 let run_str r =
   let b = Buffer.create 32 in
-  add_run b r;
+  add_run Term.add_to_buffer b r;
   Buffer.contents b
 
 let key st =
+  let add = Tls.Concrete.term_printer () in
   let b = Buffer.create 256 in
-  TS.iter (Term.add_to_buffer b) st.msgs;
+  TS.iter (add b) st.msgs;
   Buffer.add_string b "|";
-  TS.iter (Term.add_to_buffer b) st.used;
+  TS.iter (add b) st.used;
   List.iter
     (fun (tag, runs) ->
       Buffer.add_string b tag;
-      List.iter (add_run b) runs)
+      List.iter (add_run add b) runs)
     [ "|i:", st.istarts; "|r:", st.rruns; "|d:", st.rdones ];
   Buffer.contents b
 
@@ -183,10 +183,12 @@ let fresh st = match List.filter (fun n -> not (TS.mem n st.used)) st.scen.nonce
   | [] -> None
   | n :: _ -> Some n
 
-type label = { rule : string; info : string }
+type label = { rule : string; args : Term.t list }
 
-let pp_label ppf l = Format.fprintf ppf "%-12s %s" l.rule l.info
-let label rule terms = { rule; info = String.concat " " (List.map Term.to_string terms) }
+let pp_label ppf l =
+  Format.fprintf ppf "%-12s %s" l.rule (String.concat " " (List.map Term.to_string l.args))
+
+let label rule args = { rule; args }
 
 (* In the classic variant the "responder identity" slot of message 2 is the
    constant [ca]; honest initiators then do not check it. *)

@@ -54,10 +54,21 @@ val derivable : state -> Term.t -> bool
 val session :
   state -> owner:Term.t -> peer:Term.t -> sid:Term.t -> (Term.t * Term.t * Term.t * Term.t) option
 
-(** An action label: transition name plus a rendering of its arguments. *)
-type label = { rule : string; info : string }
+(** An action label: the transition's rule name and the terms it was
+    instantiated with.  The terms are printed only by {!pp_label} (and the
+    system's [show_action]), so a search that shows no trace never renders
+    them. *)
+type label = { rule : string; args : Term.t list }
 
+(** [pp_label] prints the rule, padded to 10 columns, then
+    {!Kernel.Term.to_string} of each argument, space-separated. *)
 val pp_label : Format.formatter -> label -> unit
+
+(** [term_printer ()] is {!Kernel.Term.add_to_buffer} for the calling
+    domain, the rendering of each non-constant term memoized by identity
+    in a table of that domain (emptied once it holds 65 536 terms).  The
+    state keys of this model and of {!Nspk} append their terms with it. *)
+val term_printer : unit -> Buffer.t -> Term.t -> unit
 
 (** [system scenario] packages everything for {!Mc.bfs}. *)
 val system : scenario -> (state, label) Mc.system

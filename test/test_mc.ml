@@ -49,6 +49,67 @@ let test_reachable_negative () =
 (* ------------------------------------------------------------------ *)
 (* TLS scenario *)
 
+(* The attack traces as [pp_label] prints them, pinned byte for byte: the
+   attack CLI, the simulator and the examples print these lines.  Labels
+   keep their argument terms, and [pp_label] is what renders them. *)
+let check_printed name pp expected trace =
+  Alcotest.(check (list string)) name expected
+    (List.map (fun l -> Format.asprintf "%a" pp l) trace)
+
+let tls_2prime_trace =
+  [
+    "chello     alice bob ra";
+    "shello     bob rb sid1 suite1";
+    "cert       bob alice";
+    "fakeKx2    kx(intruder, alice, bob, epms(pk(bob), pms(intruder, alice, sec2)))";
+    "fakeCf2    cf(intruder, alice, bob, ecfin(hkey(alice, pms(intruder, alice, sec2), \
+     ra, rb), cfin(alice, bob, sid1, lcons(suite1, lcons(suite2, lnil)), suite1, ra, \
+     rb, pms(intruder, alice, sec2))))";
+  ]
+
+(* Property 3' under the certified reduction: compound steps flatten into
+   the fired sequence, so 18 labels for a depth-7 violation. *)
+let tls_3prime_reduced_trace =
+  [
+    "fakeSh2    sh2(intruder, bob, alice, ri, sid1, suite2)";
+    "fakeSh     sh(intruder, bob, alice, ri, sid1, suite2)";
+    "fakeSh2    sh2(intruder, bob, alice, ri, sid1, suite1)";
+    "fakeSh     sh(intruder, bob, alice, ri, sid1, suite1)";
+    "fakeCh2    ch2(intruder, alice, bob, ri, sid1)";
+    "fakeCh     ch(intruder, alice, bob, ri, lcons(suite1, lcons(suite2, lnil)))";
+    "fakeCt     ct(intruder, bob, alice, cert(intruder, pk(intruder), sig(ca, intruder, \
+     pk(intruder))))";
+    "shello     bob ra sid1 suite1";
+    "cert       bob alice";
+    "fakeCt     ct(intruder, bob, alice, cert(bob, pk(bob), sig(ca, bob, pk(bob))))";
+    "fakeKx2    kx(intruder, alice, bob, epms(pk(bob), pms(intruder, alice, sec2)))";
+    "fakeCf2    cf(intruder, alice, bob, ecfin(hkey(alice, pms(intruder, alice, sec2), \
+     ri, ra), cfin(alice, bob, sid1, lcons(suite1, lcons(suite2, lnil)), suite1, ri, \
+     ra, pms(intruder, alice, sec2))))";
+    "fakeKx2    kx(intruder, alice, bob, epms(pk(bob), pms(intruder, bob, sec2)))";
+    "fakeCf2    cf(intruder, alice, bob, ecfin(hkey(alice, pms(intruder, bob, sec2), ri, \
+     ra), cfin(alice, bob, sid1, lcons(suite1, lcons(suite2, lnil)), suite1, ri, ra, \
+     pms(intruder, bob, sec2))))";
+    "sfin       bob alice";
+    "shello2    bob alice rb";
+    "fakeSf1    sf(intruder, bob, alice, esfin(hkey(bob, pms(intruder, alice, sec2), ri, \
+     ra), sfin(alice, bob, sid1, lcons(suite1, lcons(suite2, lnil)), suite1, ri, ra, \
+     pms(intruder, alice, sec2))))";
+    "fakeCf22   cf2(intruder, alice, bob, ecfin2(hkey(alice, pms(intruder, alice, sec2), \
+     ri, rb), cfin2(alice, bob, sid1, suite1, ri, rb, pms(intruder, alice, sec2))))";
+  ]
+
+let nspk_lowe_trace =
+  [
+    "start        alice intruder nA";
+    "fake-m1      nm1(intruder, intruder, bob, nspk-enc1(pk(bob), nA, alice))";
+    "respond      bob alice nB";
+    "fake-m2      nm2(intruder, intruder, alice, nspk-enc2(pk(alice), nA, nB, ca))";
+    "finish-init  alice intruder nB";
+    "fake-m3      nm3(intruder, intruder, bob, nspk-enc3(pk(bob), nB))";
+    "finish-resp  bob alice";
+  ]
+
 (* Lazy: building the concrete scenario extends the shared TLS model spec
    with the scenario's principals, which must not happen at module-init
    time — the analysis suite lints the pristine generated spec. *)
@@ -79,8 +140,24 @@ let test_tls_2prime_attack_found () =
     Alcotest.(check (list string))
       "trace shape"
       [ "chello"; "shello"; "cert"; "fakeKx2"; "fakeCf2" ]
-      rules
+      rules;
+    check_printed "printed trace" Tls.Concrete.pp_label tls_2prime_trace v.Mc.trace
   | _ -> Alcotest.fail "expected 2' violation"
+
+let test_tls_3prime_reduced_trace () =
+  let scen = Lazy.force tls_scen_l in
+  match
+    Mc.bfs ~max_states:100_000 ~max_depth:9 ~reduction:(Tls.Concrete.reduction scen)
+      (Lazy.force tls_system_l)
+      ~props:[ "cf2-authentic", Tls.Concrete.prop_cf2_authentic ]
+  with
+  | Mc.Violation (v, s) ->
+    Alcotest.(check int) "depth" 7 v.Mc.depth;
+    Alcotest.(check (list int))
+      "states, transitions, pruned" [ 263; 772; 1146 ]
+      [ s.Mc.states_explored; s.Mc.transitions_fired; s.Mc.states_pruned ];
+    check_printed "printed trace" Tls.Concrete.pp_label tls_3prime_reduced_trace v.Mc.trace
+  | _ -> Alcotest.fail "expected 3' violation"
 
 let test_tls_positive_props_bounded () =
   match
@@ -157,7 +234,8 @@ let test_nspk_lowe_attack () =
     Alcotest.(check bool) "starts with a run towards the intruder" true
       (List.hd rules = "start");
     Alcotest.(check bool) "uses faked message 1" true (List.mem "fake-m1" rules);
-    Alcotest.(check bool) "uses faked message 3" true (List.mem "fake-m3" rules)
+    Alcotest.(check bool) "uses faked message 3" true (List.mem "fake-m3" rules);
+    check_printed "printed trace" Nspk.pp_label nspk_lowe_trace v.Mc.trace
   | _ -> Alcotest.fail "expected Lowe's attack"
 
 let test_nspk_nonce_secrecy_broken () =
@@ -259,6 +337,7 @@ let tests =
     "reachable negative", `Quick, test_reachable_negative;
     "tls handshake reachable", `Quick, test_tls_handshake_reachable;
     "tls 2' attack found", `Quick, test_tls_2prime_attack_found;
+    "tls 3' reduced trace", `Quick, test_tls_3prime_reduced_trace;
     "tls positive props bounded", `Quick, test_tls_positive_props_bounded;
     "tls knowledge", `Quick, test_tls_knowledge;
     "tls oops stays safe", `Quick, test_tls_oops_stays_safe;

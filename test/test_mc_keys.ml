@@ -177,6 +177,40 @@ let test_golden_keys () =
         (digest (List.map (fun s -> g.g_key (g.g_canon s)) g.g_states)))
     (Lazy.force groups_l) golden
 
+(* The same digests computed by two pool domains at once: the printed-term
+   memo of the keys is per domain, and both domains canonize through the
+   same closures, each filling its own term-image memo.  Each task waits
+   for the other to start, so the two run on distinct domains. *)
+let test_golden_keys_two_domains () =
+  let groups = Lazy.force groups_l in
+  let started = Atomic.make 0 in
+  let digests () =
+    Atomic.incr started;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 30. do
+      Domain.cpu_relax ()
+    done;
+    ( (Domain.self () :> int),
+      List.map
+        (fun (Group g) ->
+          ( digest (List.map g.g_key g.g_states),
+            digest (List.map (fun s -> g.g_key (g.g_canon s)) g.g_states) ))
+        groups )
+  in
+  Sched.Pool.with_pool ~jobs:2 @@ fun pool ->
+  match Sched.Pool.parallel_map pool digests [ (); () ] with
+  | [ (d1, r1); (d2, r2) ] ->
+    Alcotest.(check bool) "two domains" true (d1 <> d2);
+    List.iter
+      (fun r ->
+        List.iter2
+          (fun (raw', canon') (name, _, raw, canon) ->
+            Alcotest.(check string) (name ^ " raw keys") raw raw';
+            Alcotest.(check string) (name ^ " canonized keys") canon canon')
+          r golden)
+      [ r1; r2 ]
+  | _ -> Alcotest.fail "two results expected"
+
 (* The golden digests cover the session-table and Oops parts of the key:
    the witness holds sessions, and some successor has leaked a key. *)
 let test_oops_states_cover_sessions () =
@@ -250,6 +284,7 @@ let prop_canonizer_on_term_lists =
 let tests =
   [
     "golden state keys", `Quick, test_golden_keys;
+    "golden state keys from two domains", `Quick, test_golden_keys_two_domains;
     "oops states cover sessions and leaks", `Quick, test_oops_states_cover_sessions;
     "canon matches the reference orbit minimum", `Quick, test_canon_matches_reference;
     QCheck_alcotest.to_alcotest prop_canonizer_on_term_lists;

@@ -180,12 +180,15 @@ let prop_tls_differential =
 (* ------------------------------------------------------------------ *)
 (* par_bfs under reduction mirrors bfs byte for byte                    *)
 
+(* [reduction ()] gives each search a fresh canonizer: in the parallel one
+   its term-image memo, like the state keys' printed-term memo, starts
+   empty and is filled on the pool's domains. *)
 let test_par_bfs_reduction_agrees () =
   Sched.Pool.with_pool ~jobs:2 @@ fun pool ->
   let check_system name system reduction ~props ~max_depth =
-    let seq = Mc.bfs ~max_states:20_000 ~max_depth ~reduction system ~props in
+    let seq = Mc.bfs ~max_states:20_000 ~max_depth ~reduction:(reduction ()) system ~props in
     let par =
-      Mc.par_bfs ~max_states:20_000 ~max_depth ~reduction ~pool system ~props
+      Mc.par_bfs ~max_states:20_000 ~max_depth ~reduction:(reduction ()) ~pool system ~props
     in
     Alcotest.(check string) (name ^ " verdict") (verdict seq) (verdict par);
     let s = Mc.outcome_stats seq and p = Mc.outcome_stats par in
@@ -202,17 +205,27 @@ let test_par_bfs_reduction_agrees () =
     | _ -> ()
   in
   let nsl = Lazy.force nsl_scen_l in
-  check_system "nsl" (Nspk.system nsl) (Nspk.reduction nsl)
+  check_system "nsl" (Nspk.system nsl) (fun () -> Nspk.reduction nsl)
     ~props:[ "responder-agreement", Nspk.responder_agreement ]
     ~max_depth:6;
   let nspk = Lazy.force nspk_scen_l in
-  check_system "nspk" (Nspk.system nspk) (Nspk.reduction nspk)
+  check_system "nspk" (Nspk.system nspk) (fun () -> Nspk.reduction nspk)
     ~props:[ "responder-agreement", Nspk.responder_agreement ]
     ~max_depth:7;
   let tls = Lazy.force tls_scen_l in
-  check_system "tls" (Tls.Concrete.system tls) (Tls.Concrete.reduction tls)
+  check_system "tls" (Tls.Concrete.system tls) (fun () -> Tls.Concrete.reduction tls)
     ~props:[ "cf-authentic", Tls.Concrete.prop_cf_authentic ]
-    ~max_depth:4
+    ~max_depth:4;
+  (* the property sweep holds to depth 5, so the whole reduced space is
+     canonized, most of it on the worker *)
+  check_system "tls sweep" (Tls.Concrete.system tls) (fun () -> Tls.Concrete.reduction tls)
+    ~props:
+      [
+        "pms-secrecy", Tls.Concrete.prop_pms_secrecy tls;
+        "sf-authentic", Tls.Concrete.prop_sf_authentic;
+        "sf2-authentic", Tls.Concrete.prop_sf2_authentic;
+      ]
+    ~max_depth:5
 
 (* ------------------------------------------------------------------ *)
 (* Canonization is idempotent (orbit minimization)                      *)
