@@ -268,13 +268,16 @@ let () =
     else None
   in
   let t0 = Unix.gettimeofday () in
+  (* --stats only hides the per-proof reports: the campaign runs the same
+     way either way, so what it traces (and certifies) does not depend on
+     a display flag *)
   let results =
-    if !stats_only then
-      Sched.Pool.parallel_map pool
-        (fun proof -> Proofs.Tls_invariants.run ~pool env proof)
-        proofs
-    else List.map (run_one ~pool env) proofs
+    Sched.Pool.parallel_map pool
+      (fun proof -> Proofs.Tls_invariants.run ~pool env proof)
+      proofs
   in
+  if not !stats_only then
+    List.iter (fun r -> Format.printf "%a@.@." Report.pp_result r) results;
   Kernel.Rewrite.set_tracer None;
   Format.printf "%a@." Report.pp_summary (Report.summarize results);
   Format.printf "wall-clock: %.2fs (%d domain%s)@."

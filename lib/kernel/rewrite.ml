@@ -309,20 +309,39 @@ let tick sys =
       (Limit_exceeded
          { limit = Deadline sys.deadline; steps = sys.step_limit - sys.budget })
 
-(* Leftmost-innermost normalization with memoization.  Children are
-   normalized first; then root rules are tried until none applies.  A rule's
-   condition is normalized recursively and must reach the literal [true].
+(* Leftmost-innermost normalization.  Children are normalized first, left
+   to right; an AC/Comm node is then canonicalized, and root rules are
+   tried in order until one fires, its instantiated right-hand side
+   normalized in turn.  A rule's condition is normalized recursively and
+   must reach the literal [true].
 
-   The traversal is parameterized by its cache: [normalize] runs against
-   the system's shared striped memo, [normalize_uncached] against a
-   private per-call table — same strategy, same step accounting, so the
-   two are differentially comparable. *)
+   One traversal serves every entry point.  What a run keeps for each
+   visited term, and where, is its recorder:
+   - [shared] ([normalize]): normal forms in the system's striped memo,
+     indexed rule selection;
+   - [local] ([normalize_uncached]): normal forms in a private table that
+     dies with the call, linear rule selection — the differential suite's
+     baseline;
+   - [traced] ([normalize_traced], and [normalize] under a tracer):
+     derivations in the system's derivation cache.
+   Strategy and step accounting belong to the traversal, so the three
+   agree on every normal form and step count. *)
 
-type cache_ops = {
-  c_find : Term.t -> Term.t option;
-  c_store : Term.t -> Term.t -> unit;
-  c_rules : Term.t -> Signature.op -> rule list;
+type 'r recorder = {
+  find : system -> Term.t -> 'r option;
+  store : system -> Term.t -> 'r -> unit;
+  candidates : system -> Term.t -> Signature.op -> rule list;
       (** candidate rules for a root, in rule order *)
+  out : 'r -> Term.t;  (** the normal form a result stands for *)
+  canon : Signature.op -> Term.t -> int list option * Term.t;
+      (** AC/Comm canonicalization of a node whose children are normal *)
+  stuck : Term.t -> 'r list -> int list option -> Term.t -> 'r;
+      (** [stuck t kids perm t']: no root rule fires on [t'], which [t]
+          became through its children's results [kids] and [perm] *)
+  fired :
+    Term.t -> 'r list -> int list option -> rule -> Subst.t -> 'r option -> 'r -> 'r;
+      (** [fired t kids perm r sub cond next]: [r] fired under [sub], its
+          condition normalized by [cond] and its right-hand side by [next] *)
 }
 
 (* Candidate rules for [t] from every layer, newest first.  Each layer
@@ -361,6 +380,28 @@ let sys_rules sys t o =
     rs
   end
 
+(* Profiling brackets the three timed regions of a rule — the match
+   attempt, condition discharge and right-hand-side normalization — with
+   a per-domain frame, so the hotspot report gets exact self-times.
+   Callers test [Probe.enabled ()] before building [f]: the probe-off path
+   is one flag read. *)
+let in_frame kind label f x =
+  let fr = Probe.rule_enter () in
+  match f x with
+  | v ->
+    Probe.rule_exit fr ~kind ~label;
+    v
+  | exception e ->
+    Probe.rule_exit fr ~kind ~label;
+    raise e
+
+let match_at r t =
+  match Term.view r.lhs, Term.view t with
+  | Term.App (po, _), Term.App (so, _)
+    when Signature.is_ac po && Signature.op_equal po so ->
+    Ac.match_first r.lhs t
+  | _ -> Matching.match_ r.lhs t
+
 (* One root-match attempt of [r.lhs] against [t] — AC roots go through the
    AC matcher, everything else through syntactic matching.  Profiled as a
    [Match] frame charged to the rule *attempted*, so the hot-rules table
@@ -368,128 +409,106 @@ let sys_rules sys t o =
    and almost never fires is expensive even though it never rewrites
    anything, and that is precisely the cost the index removes. *)
 let match_root r t =
-  if not (Probe.enabled ()) then
-    match Term.view r.lhs, Term.view t with
-    | Term.App (po, _), Term.App (so, _)
-      when Signature.is_ac po && Signature.op_equal po so ->
-      Ac.match_first r.lhs t
-    | _ -> Matching.match_ r.lhs t
-  else begin
-    let f = Probe.rule_enter () in
-    let m =
-      match Term.view r.lhs, Term.view t with
-      | Term.App (po, _), Term.App (so, _)
-        when Signature.is_ac po && Signature.op_equal po so ->
-        Ac.match_first r.lhs t
-      | _ -> Matching.match_ r.lhs t
-    in
-    Probe.rule_exit f ~kind:Probe.Match ~label:r.label;
-    m
-  end
+  if Probe.enabled () then in_frame Probe.Match r.label (match_at r) t
+  else match_at r t
 
-let rec norm ops sys t =
-  match ops.c_find t with
-  | Some nf -> nf
+let rec unmoved out kids args =
+  match kids, args with
+  | k :: kids, a :: args -> out k == a && unmoved out kids args
+  | _ -> true
+
+let rec norm rc sys t =
+  match rc.find sys t with
+  | Some r -> r
   | None ->
-    let nf =
+    let r =
       match Term.view t with
-      | Term.Var _ -> t
+      | Term.Var _ -> rc.stuck t [] None t
       | Term.App (o, args) ->
-        let args' = List.map (norm ops sys) args in
+        let kids = norm_args rc sys args in
+        (* reuse [t] when no child moved: keeps the stepless [Term.equal]
+           of the traced recorder on its physical-equality fast path *)
         let t' =
-          if List.for_all2 ( == ) args args' then t
-          else Term.app_unchecked o args'
+          if unmoved rc.out kids args then t
+          else Term.app_unchecked o (List.map rc.out kids)
         in
-        let t' =
-          if Signature.is_ac o || Signature.is_comm o then Ac.normalize t'
-          else t'
-        in
-        reduce_root ops sys t'
+        if Signature.is_ac o || Signature.is_comm o then begin
+          let perm, t' = rc.canon o t' in
+          try_rules rc sys t kids perm t' (rc.candidates sys t' o)
+        end
+        else try_rules rc sys t kids None t' (rc.candidates sys t' o)
     in
-    ops.c_store t nf;
-    nf
+    rc.store sys t r;
+    r
 
-and reduce_root ops sys t =
-  match Term.view t with
-  | Term.Var _ -> t
-  | Term.App (o, _) -> (
-    match ops.c_rules t o with
-    | [] -> t
-    | candidates -> try_rules ops sys t candidates)
+and norm_args rc sys = function
+  | [] -> []
+  | a :: rest ->
+    let r = norm rc sys a in
+    r :: norm_args rc sys rest
 
-and try_rules ops sys t = function
-  | [] -> t
+and try_rules rc sys t kids perm t' = function
+  | [] -> rc.stuck t kids perm t'
   | r :: rest -> (
-    match match_root r t with
-    | None -> try_rules ops sys t rest
+    match match_root r t' with
+    | None -> try_rules rc sys t kids perm t' rest
     | Some sub -> (
-      (* Profiling brackets all three timed regions — the match attempt
-         (in [match_root]), condition discharge and right-hand-side
-         normalization — with a per-domain frame so the hotspot report
-         gets exact self-times.  The probe-off path is the seed path plus
-         one flag read; the differential suite holds the two to identical
-         normal forms and step counts. *)
-      let fires =
-        match r.cond with
-        | None -> true
-        | Some c ->
-          let inst = Subst.apply sub c in
-          if not (Probe.enabled ()) then Term.equal (norm ops sys inst) Term.tt
-          else begin
-            let f = Probe.rule_enter () in
-            match norm ops sys inst with
-            | nf ->
-              Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-              Term.equal nf Term.tt
-            | exception e ->
-              Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-              raise e
-          end
-      in
-      if not fires then try_rules ops sys t rest
-      else if not (Probe.enabled ()) then begin
-        tick sys;
-        norm ops sys (Subst.apply sub r.rhs)
-      end
-      else begin
-        let f = Probe.rule_enter () in
-        tick sys;
-        match norm ops sys (Subst.apply sub r.rhs) with
-        | nf ->
-          Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-          nf
-        | exception e ->
-          Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-          raise e
-      end))
+      match r.cond with
+      | None -> fire rc sys t kids perm r sub None
+      | Some c ->
+        let inst = Subst.apply sub c in
+        let cr =
+          if Probe.enabled () then in_frame Probe.Cond r.label (norm rc sys) inst
+          else norm rc sys inst
+        in
+        if Term.equal (rc.out cr) Term.tt then fire rc sys t kids perm r sub (Some cr)
+        else try_rules rc sys t kids perm t' rest))
 
-let shared_ops sys =
+and fire rc sys t kids perm r sub cond =
+  let next =
+    if Probe.enabled () then in_frame Probe.Rewrite r.label (rewrite rc sys sub) r.rhs
+    else rewrite rc sys sub r.rhs
+  in
+  rc.fired t kids perm r sub cond next
+
+and rewrite rc sys sub rhs =
+  tick sys;
+  norm rc sys (Subst.apply sub rhs)
+
+(* The plain recorders keep normal forms only: they canonicalize with
+   [Ac.normalize] and never compute a permutation.  [shared] is one value,
+   so a run through the memo allocates no recorder. *)
+let shared =
   {
-    c_find = memo_find sys.memo;
-    c_store = memo_store sys.memo;
-    c_rules = (fun t o -> sys_rules sys t o);
+    find = (fun sys t -> memo_find sys.memo t);
+    store = (fun sys t nf -> memo_store sys.memo t nf);
+    candidates = sys_rules;
+    out = Fun.id;
+    canon = (fun _ t -> (None, Ac.normalize t));
+    stuck = (fun _ _ _ t' -> t');
+    fired = (fun _ _ _ _ _ _ nf -> nf);
   }
 
-let local_ops sys =
+(* The reference path selects rules by linear scan, unconditionally, and
+   does not count fallbacks — it is the baseline, not a fallback. *)
+let local () =
   let tbl = Term.Tbl.create 1024 in
   {
-    c_find = Term.Tbl.find_opt tbl;
-    c_store = Term.Tbl.replace tbl;
-    (* the reference path selects rules by linear scan, unconditionally,
-       and does not count fallbacks — it is the baseline, not a fallback *)
-    c_rules = (fun _ o -> linear_rules sys o);
+    shared with
+    find = (fun _ t -> Term.Tbl.find_opt tbl t);
+    store = (fun _ t nf -> Term.Tbl.replace tbl t nf);
+    candidates = (fun sys _ o -> linear_rules sys o);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Traced normalization.                                               *)
 (*                                                                     *)
-(* The traced path mirrors [norm] exactly — same strategy, same step   *)
-(* accounting — but records a derivation for every visited term.  The  *)
-(* derivation memo is separate from the plain normal-form memo: a memo *)
-(* entry warmed by an earlier untraced run has no derivation, so       *)
-(* traced runs consult only [dcache]; the plain memo is warmed only    *)
-(* at derivation roots (hashing every subterm into both tables showed  *)
-(* up as the bulk of the tracing overhead).                            *)
+(* The traced recorder builds a derivation for every visited term.  Its *)
+(* memo is separate from the plain normal-form memo: a memo entry      *)
+(* warmed by an earlier untraced run has no derivation, so traced runs *)
+(* consult only [dcache]; the plain memo is warmed only at derivation  *)
+(* roots (hashing every subterm into both tables showed up as the bulk *)
+(* of the tracing overhead).                                           *)
 (*                                                                     *)
 (* Derivations certify reachability (input rewrites to output using    *)
 (* the recorded rules), which is what soundness of a proof score       *)
@@ -504,8 +523,6 @@ let dcache sys =
     let dc = Term.Tbl.create 1024 in
     sys.dcache <- Some dc;
     dc
-
-let triv t = { d_in = t; d_out = t; d_node = Triv }
 
 (* AC/Comm canonicalization of [t'], recording the permutation of the
    flattened argument list.  Mirrors [Ac.normalize] on terms whose children
@@ -532,109 +549,46 @@ let ac_perm o t' =
       else (Some [ 1; 0 ], Term.app_unchecked o [ b; a ])
     | _ -> (None, t')
 
-let rec norm_t sys t =
+let traced sys =
   let dc = dcache sys in
-  match Term.Tbl.find_opt dc t with
-  | Some d -> d
-  | None ->
-    let d =
-      match Term.view t with
-      | Term.Var _ -> triv t
-      | Term.App (o, args) ->
-        let children = List.map (norm_t sys) args in
-        (* reuse [t] when no child moved: keeps the stepless [Term.equal]
-           below on its physical-equality fast path *)
-        let t' =
-          if List.for_all2 (fun d a -> d.d_out == a) children args then t
-          else Term.app_unchecked o (List.map (fun d -> d.d_out) children)
-        in
-        let perm, t'' =
-          if Signature.is_ac o || Signature.is_comm o then ac_perm o t'
-          else (None, t')
-        in
-        let step =
-          match sys_rules sys t'' o with
-          | [] -> None
-          | candidates -> try_rules_t sys t'' candidates
-        in
-        (match step with
-        | None ->
-          if Term.equal t'' t then triv t
-          else { d_in = t; d_out = t''; d_node = Dapp { children; perm; step = None } }
-        | Some rs ->
-          {
-            d_in = t;
-            d_out = rs.rs_next.d_out;
-            d_node = Dapp { children; perm; step = Some rs };
-          })
-    in
-    Term.Tbl.replace dc t d;
-    d
+  {
+    find = (fun _ t -> Term.Tbl.find_opt dc t);
+    store = (fun _ t d -> Term.Tbl.replace dc t d);
+    candidates = sys_rules;
+    out = (fun d -> d.d_out);
+    canon = ac_perm;
+    stuck =
+      (fun t children perm t' ->
+        if Term.equal t' t then { d_in = t; d_out = t; d_node = Triv }
+        else { d_in = t; d_out = t'; d_node = Dapp { children; perm; step = None } });
+    fired =
+      (fun t children perm rs_rule rs_sub rs_cond rs_next ->
+        {
+          d_in = t;
+          d_out = rs_next.d_out;
+          d_node =
+            Dapp { children; perm; step = Some { rs_rule; rs_sub; rs_cond; rs_next } };
+        });
+  }
 
-and try_rules_t sys t = function
-  | [] -> None
-  | r :: rest -> (
-    match match_root r t with
-    | None -> try_rules_t sys t rest
-    | Some sub -> (
-      let discharged =
-        match r.cond with
-        | None -> Some None
-        | Some c ->
-          let inst = Subst.apply sub c in
-          let dc =
-            if not (Probe.enabled ()) then norm_t sys inst
-            else begin
-              let f = Probe.rule_enter () in
-              match norm_t sys inst with
-              | dc ->
-                Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-                dc
-              | exception e ->
-                Probe.rule_exit f ~kind:Probe.Cond ~label:r.label;
-                raise e
-            end
-          in
-          if Term.equal dc.d_out Term.tt then Some (Some dc) else None
-      in
-      match discharged with
-      | None -> try_rules_t sys t rest
-      | Some rs_cond ->
-        if not (Probe.enabled ()) then begin
-          tick sys;
-          let rs_next = norm_t sys (Subst.apply sub r.rhs) in
-          Some { rs_rule = r; rs_sub = sub; rs_cond; rs_next }
-        end
-        else begin
-          let f = Probe.rule_enter () in
-          tick sys;
-          match norm_t sys (Subst.apply sub r.rhs) with
-          | rs_next ->
-            Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-            Some { rs_rule = r; rs_sub = sub; rs_cond; rs_next }
-          | exception e ->
-            Probe.rule_exit f ~kind:Probe.Rewrite ~label:r.label;
-            raise e
-        end))
-
-let start_run sys =
+let run rc sys t =
   sys.budget <- sys.step_limit;
-  if sys.deadline > 0. then sys.deadline_at <- Sys.time () +. sys.deadline
+  if sys.deadline > 0. then sys.deadline_at <- Sys.time () +. sys.deadline;
+  norm rc sys t
 
-let normalize_traced_inner sys t =
-  start_run sys;
-  let d = norm_t sys t in
+let derive sys t =
+  let d = run (traced sys) sys t in
   memo_store sys.memo t d.d_out;
-  (d.d_out, d)
+  d
 
 (* One span per top-level normalization ([cat = "red"]): nested [norm]
    recursion stays span-free (rule applications are profiled separately),
    so a trace shows each red as one block under its proof case. *)
-let normalize_traced sys t =
-  if not (Probe.enabled ()) then normalize_traced_inner sys t
+let red_span f sys t =
+  if not (Probe.enabled ()) then f sys t
   else begin
     let t0 = Probe.now_ns () in
-    match normalize_traced_inner sys t with
+    match f sys t with
     | v ->
       Probe.span_since ~cat:"red" "red" t0;
       v
@@ -642,6 +596,13 @@ let normalize_traced sys t =
       Probe.span_since ~cat:"red" "red" t0;
       raise e
   end
+
+let normalize_traced sys t =
+  red_span
+    (fun sys t ->
+      let d = derive sys t in
+      (d.d_out, d))
+    sys t
 
 (* ------------------------------------------------------------------ *)
 (* Global tracer.                                                      *)
@@ -684,51 +645,18 @@ let record tr sys t d =
             { ob_info = sys.info; ob_input = t; ob_deriv = d } :: tr.tr_obs
         end)
 
-let normalize_inner sys t =
-  match Atomic.get tracer_slot with
-  | None ->
-    start_run sys;
-    norm (shared_ops sys) sys t
-  | Some tr ->
-    start_run sys;
-    let d = norm_t sys t in
-    memo_store sys.memo t d.d_out;
-    record tr sys t d;
-    d.d_out
-
 let normalize sys t =
-  if not (Probe.enabled ()) then normalize_inner sys t
-  else begin
-    let t0 = Probe.now_ns () in
-    match normalize_inner sys t with
-    | nf ->
-      Probe.span_since ~cat:"red" "red" t0;
-      nf
-    | exception e ->
-      Probe.span_since ~cat:"red" "red" t0;
-      raise e
-  end
+  red_span
+    (fun sys t ->
+      match Atomic.get tracer_slot with
+      | None -> run shared sys t
+      | Some tr ->
+        let d = derive sys t in
+        record tr sys t d;
+        d.d_out)
+    sys t
 
-(* The seed engine's path: identical strategy and step accounting, but
-   against a private table that dies with the call — nothing read from or
-   written to the shared memo.  The differential suite runs every spec
-   through both entry points. *)
-let normalize_uncached_inner sys t =
-  start_run sys;
-  norm (local_ops sys) sys t
-
-let normalize_uncached sys t =
-  if not (Probe.enabled ()) then normalize_uncached_inner sys t
-  else begin
-    let t0 = Probe.now_ns () in
-    match normalize_uncached_inner sys t with
-    | nf ->
-      Probe.span_since ~cat:"red" "red" t0;
-      nf
-    | exception e ->
-      Probe.span_since ~cat:"red" "red" t0;
-      raise e
-  end
+let normalize_uncached sys t = red_span (fun sys t -> run (local ()) sys t) sys t
 
 (* ------------------------------------------------------------------ *)
 (* Index control and introspection.                                    *)

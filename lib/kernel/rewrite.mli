@@ -76,11 +76,11 @@ val fork : system -> system
     reduction must not be mistaken for a proved [true]. *)
 val normalize : system -> Term.t -> Term.t
 
-(** [normalize_uncached sys t] is the seed engine's path: identical
-    strategy and step accounting to {!normalize}, but memoized only in a
-    private table that dies with the call — the shared memo is neither
-    read nor written.  Kept as the reference implementation for the
-    differential test suite.
+(** [normalize_uncached sys t] runs the same traversal as {!normalize},
+    with its strategy and step accounting, but memoizes in a private
+    table that dies with the call — the shared memo is neither read nor
+    written — and selects rules by the linear scan.  It is the
+    differential test suite's baseline for the memo and the index.
     @raise Limit_exceeded as {!normalize}. *)
 val normalize_uncached : system -> Term.t -> Term.t
 
@@ -149,8 +149,8 @@ val memo_stats : system -> memo_stats
     index is {e never-miss} and preserves rule order, so normal forms,
     step counts, traced derivations and certificates are byte-identical
     with and without it — only the number of failed match attempts
-    changes.  Both the plain and the traced rewriter go through the
-    index; {!normalize_uncached} always uses the linear scan (it is the
+    changes.  {!normalize} and {!normalize_traced} go through the index;
+    {!normalize_uncached} always uses the linear scan (it is the
     differential baseline).
 
     Index⇄memo generation interaction: the index is keyed to the rule

@@ -2,7 +2,6 @@ type ('state, 'action) system = {
   initial : 'state;
   next : 'state -> ('action * 'state) list;
   key : 'state -> string;
-  show_action : 'action -> string;
 }
 
 type ('state, 'action) reduction = {
@@ -35,11 +34,11 @@ exception Found of string * int
 
 let c_pruned = Telemetry.Metrics.counter "mc.por.pruned"
 
-(* Shared BFS core: explores until exhaustion or a state satisfying [stop].
-   Parent pointers (by state key) reconstruct traces.  With a reduction, a
-   whole chase of ample transitions collapses into one compound edge, so
-   [via] is a label {e chain}: singleton for an ordinary step, the fired
-   sequence for a compound one, flattened on trace reconstruction. *)
+(* A seen state.  Parent pointers (by state key) reconstruct traces.  With
+   a reduction, a whole chase of ample transitions collapses into one
+   compound edge, so [via] is a label {e chain}: singleton for an ordinary
+   step, the fired sequence for a compound one, flattened on trace
+   reconstruction. *)
 type 'a node = { parent_key : string option; via : 'a list; depth : int }
 
 (* Saturate the certified-independent ample transitions from [s] into one
@@ -74,121 +73,39 @@ let flood ~red ~key ~next ~peek s k =
   in
   go s k [] 0
 
-let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction system
-    ~stop =
-  let t0 = Telemetry.Probe.now_ns () in
-  let red = Option.value reduction ~default:no_reduction in
-  let reduced = Option.is_some reduction in
-  let seen : (string, 'a node) Hashtbl.t = Hashtbl.create 4096 in
-  let queue = Queue.create () in
-  let states = ref 0 in
-  let transitions = ref 0 in
-  let pruned = ref 0 in
-  let compound_fired = ref false in
-  let deepest = ref 0 in
-  let complete = ref true in
-  let trace_to key =
-    let rec go key acc =
-      match Hashtbl.find seen key with
-      | { parent_key = None; _ } -> acc
-      | { parent_key = Some pk; via; _ } -> go pk (via @ acc)
-    in
-    go key []
-  in
-  (* [state] must already be canonical. *)
-  let enqueue state parent_key via depth =
-    let k = system.key state in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k { parent_key; via; depth };
-      incr states;
-      if depth > !deepest then deepest := depth;
-      (match stop state with
-      | Some (_ : string) -> raise (Found (k, depth))
-      | None -> ());
-      if depth < max_depth then Queue.add (state, k, depth) queue
-      else complete := false
-    end
-  in
-  let mk_stats () =
-    Telemetry.Metrics.add c_pruned !pruned;
-    {
-      states_explored = !states;
-      transitions_fired = !transitions;
-      states_pruned = !pruned;
-      max_depth = !deepest;
-      elapsed = float_of_int (Telemetry.Probe.now_ns () - t0) /. 1e9;
-    }
-  in
-  let peek s = Option.is_some (stop s) in
-  let expand state k depth =
-    let succs = system.next state in
-    if not reduced then
-      List.iter
-        (fun (a, s') ->
-          incr transitions;
-          enqueue s' (Some k) [ a ] (depth + 1))
-        succs
-    else begin
-      let amples, honest = List.partition (fun (a, _) -> red.ample a) succs in
-      (match amples with
-      | [] -> ()
-      | _ -> (
-        let labels, s_end, k_end =
-          flood ~red ~key:system.key ~next:system.next ~peek state k
-        in
-        if String.equal k_end k then
-          (* the whole ample set only shuffles within the current orbit *)
-          pruned := !pruned + List.length amples
-        else begin
-          incr transitions;
-          compound_fired := true;
-          pruned := !pruned + List.length amples - 1;
-          enqueue s_end (Some k) labels (depth + 1)
-        end));
-      List.iter
-        (fun (a, s') ->
-          incr transitions;
-          enqueue (red.canon s') (Some k) [ a ] (depth + 1))
-        honest
-    end
-  in
-  try
-    enqueue (red.canon system.initial) None [] 0;
-    while not (Queue.is_empty queue) do
-      if !states > max_states then begin
-        complete := false;
-        Queue.clear queue
-      end
-      else begin
-        let state, k, depth = Queue.pop queue in
-        expand state k depth
-      end
-    done;
-    (* A compound edge compresses several transitions into one depth level,
-       so under a finite depth bound exhaustion of the reduced graph does
-       not certify the full bounded space: report [Out_of_bounds] exactly
-       as the unreduced exploration would. *)
-    let genuinely_complete =
-      !complete && not (!compound_fired && max_depth < max_int)
-    in
-    `Exhausted (mk_stats (), genuinely_complete)
-  with Found (key, depth) -> `Stopped (mk_stats (), trace_to key, depth)
+(* One state's expansion, as [merge] replays it: an ordinary step, a
+   compound step (the fired chain, its endpoint, and the ample transitions
+   it subsumes), or an ample set that only shuffled within the orbit. *)
+type ('s, 'a) step = Step of 'a * 's | Comp of 'a list * 's * int | Prune of int
 
-(* Level-synchronous parallel BFS.  Each frontier level is expanded on the
-   pool ([system.next] — and, under a reduction, the canonization and the
-   whole flood chase — on distinct states, chunked to bound task count);
-   the seen-set merge is sequential, walking the expanded items in frontier
-   order and replaying exactly the [enqueue] logic of {!explore} — same
-   per-item bound check, same dedup order, same stop-at-first-violation.
-   The outcome (violation, trace, depth, states, transitions, pruning) is
-   therefore identical to the sequential exploration; only wall-clock
-   differs.
+let chunks pool level =
+  let n = 4 * Sched.Pool.jobs pool in
+  let size = max 1 ((List.length level + n - 1) / n) in
+  let rec split acc current len = function
+    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
+    | x :: rest ->
+      if len = size then split (List.rev current :: acc) [ x ] 1 rest
+      else split acc (x :: current) (len + 1) rest
+  in
+  split [] [] 0 level
+
+(* Level-synchronous BFS until exhaustion or a state satisfying [stop].
+   [expand] does the expensive part of a frontier state — [system.next]
+   and, under a reduction, the canonization and the whole flood chase —
+   and [merge] replays its steps through [enqueue] in frontier order:
+   same bound check before each frontier state, same dedup order, same
+   stop at the first violation.  Without a pool (or with a pool of one)
+   each state is merged as soon as it is expanded, so no state is
+   expanded once the state bound is passed; with a larger pool a whole
+   level is expanded on the pool (chunked to bound the task count) before
+   its merge.  The outcome is therefore the same with any pool; only
+   wall-clock differs.
 
    State handoff is synchronized: closures reach workers through the pool's
    queues and successor states return through task results, so per-state
    caches written on one side are visible on the other. *)
-let explore_par ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction
-    pool system ~stop =
+let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
+    system ~stop =
   let t0 = Telemetry.Probe.now_ns () in
   let red = Option.value reduction ~default:no_reduction in
   let reduced = Option.is_some reduction in
@@ -208,6 +125,7 @@ let explore_par ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction
     in
     go key []
   in
+  (* [state] must already be canonical. *)
   let enqueue state parent_key via depth =
     let k = system.key state in
     if not (Hashtbl.mem seen k) then begin
@@ -232,76 +150,63 @@ let explore_par ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction
     }
   in
   let peek s = Option.is_some (stop s) in
-  (* Workers do the expensive part — [next], canonization, flooding — and
-     return step descriptors; the merge replays them in frontier order so
-     counting and enqueue order match the sequential exploration. *)
-  let expand_worker state k =
+  let expand state k =
     let succs = system.next state in
-    if not reduced then
-      List.map (fun (a, s') -> `Step (a, s')) succs
+    if not reduced then List.map (fun (a, s') -> Step (a, s')) succs
     else begin
       let amples, honest = List.partition (fun (a, _) -> red.ample a) succs in
       let compound =
         match amples with
         | [] -> []
-        | _ -> (
+        | _ ->
           let labels, s_end, k_end =
             flood ~red ~key:system.key ~next:system.next ~peek state k
           in
-          if String.equal k_end k then [ `Prune (List.length amples) ]
-          else [ `Comp (labels, s_end, List.length amples - 1) ])
+          (* an ample set that only shuffles within the current orbit *)
+          if String.equal k_end k then [ Prune (List.length amples) ]
+          else [ Comp (labels, s_end, List.length amples - 1) ]
       in
-      compound
-      @ List.map (fun (a, s') -> `Step (a, red.canon s')) honest
+      compound @ List.map (fun (a, s') -> Step (a, red.canon s')) honest
     end
   in
-  let chunks level =
-    let size =
-      max 1
-        ((List.length level + (4 * Sched.Pool.jobs pool) - 1)
-        / (4 * Sched.Pool.jobs pool))
-    in
-    let rec split acc current n = function
-      | [] ->
-        List.rev
-          (if current = [] then acc else List.rev current :: acc)
-      | x :: rest ->
-        if n = size then split (List.rev current :: acc) [ x ] 1 rest
-        else split acc (x :: current) (n + 1) rest
-    in
-    split [] [] 0 level
+  let merge k depth expansion =
+    if !states > max_states then complete := false
+    else
+      List.iter
+        (function
+          | Step (a, s') ->
+            incr transitions;
+            enqueue s' (Some k) [ a ] (depth + 1)
+          | Comp (labels, s', n_pruned) ->
+            incr transitions;
+            compound_fired := true;
+            pruned := !pruned + n_pruned;
+            enqueue s' (Some k) labels (depth + 1)
+          | Prune n -> pruned := !pruned + n)
+        (expansion ())
+  in
+  let search_level =
+    match pool with
+    | Some pool when Sched.Pool.jobs pool > 1 ->
+      fun level ->
+        Sched.Pool.parallel_map pool
+          (List.map (fun (state, k, depth) -> (k, depth, expand state k)))
+          (chunks pool level)
+        |> List.iter
+             (List.iter (fun (k, depth, steps) -> merge k depth (fun () -> steps)))
+    | _ -> List.iter (fun (state, k, depth) -> merge k depth (fun () -> expand state k))
   in
   try
     enqueue (red.canon system.initial) None [] 0;
     while !frontier <> [] do
       let level = List.rev !frontier in
       frontier := [];
-      if !states > max_states then complete := false
-      else begin
-        let expanded =
-          Sched.Pool.parallel_map pool
-            (List.map (fun (state, k, depth) -> (k, depth, expand_worker state k)))
-            (chunks level)
-        in
-        List.iter
-          (List.iter (fun (k, depth, steps) ->
-               if !states > max_states then complete := false
-               else
-                 List.iter
-                   (function
-                     | `Step (a, s') ->
-                       incr transitions;
-                       enqueue s' (Some k) [ a ] (depth + 1)
-                     | `Comp (labels, s', n_pruned) ->
-                       incr transitions;
-                       compound_fired := true;
-                       pruned := !pruned + n_pruned;
-                       enqueue s' (Some k) labels (depth + 1)
-                     | `Prune n -> pruned := !pruned + n)
-                   steps))
-          expanded
-      end
+      if !states > max_states then complete := false else search_level level
     done;
+    (* A compound edge compresses several transitions into one depth level,
+       so under a finite depth bound exhaustion of the reduced graph does
+       not certify the full bounded space: report [Out_of_bounds] exactly
+       as the unreduced exploration would. *)
     let genuinely_complete =
       !complete && not (!compound_fired && max_depth < max_int)
     in
@@ -314,6 +219,7 @@ let outcome_of_explore violated = function
   | `Stopped (stats, trace, depth) ->
     Violation ({ property = !violated; trace; depth }, stats)
 
+(* [stop] returns the name of a *violated* property. *)
 let stop_of_props props =
   let violated = ref "" in
   let stop state =
@@ -332,10 +238,9 @@ let stop_of_props props =
 let par_bfs ?max_states ?max_depth ?reduction ~pool system ~props =
   let violated, stop = stop_of_props props in
   outcome_of_explore violated
-    (explore_par ?max_states ?max_depth ?reduction pool system ~stop)
+    (explore ?max_states ?max_depth ?reduction ~pool system ~stop)
 
 let bfs ?max_states ?max_depth ?reduction system ~props =
-  (* [stop] returns the name of a *violated* property. *)
   let violated, stop = stop_of_props props in
   outcome_of_explore violated
     (explore ?max_states ?max_depth ?reduction system ~stop)

@@ -16,7 +16,6 @@ type ('state, 'action) system = {
       (** enabled transitions in the given state *)
   key : 'state -> string;
       (** canonical identity: two states with the same key are merged *)
-  show_action : 'action -> string;
 }
 
 (** A state-space reduction, justified by the static analyses of
@@ -75,7 +74,14 @@ type 'action outcome =
     graph: states are canonized before dedup and certified-ample
     transitions collapse into compound steps (a violation trace then lists
     every action fired, compound chains flattened in order).  Defaults:
-    [max_states = 1_000_000], [max_depth = max_int], no reduction. *)
+    [max_states = 1_000_000], [max_depth = max_int], no reduction.
+
+    [bfs], {!par_bfs} and {!reachable} are one level-synchronous engine:
+    each frontier state is expanded ([system.next], and under a reduction
+    canonization and the compound chase), then its successors are merged
+    into the seen set in frontier order.  The state bound is checked
+    before each frontier state's merge, so a search may stop in the middle
+    of a level. *)
 val bfs :
   ?max_states:int ->
   ?max_depth:int ->
@@ -85,15 +91,14 @@ val bfs :
   'a outcome
 
 (** [par_bfs ?max_states ?max_depth ?reduction ~pool system ~props] is
-    {!bfs} with each frontier level expanded in parallel on [pool]:
-    [system.next] — and, under a reduction, canonization and the compound
-    chase — runs on the pool's domains (chunked over the level), and
-    successors are merged into the seen set sequentially, in frontier
-    order, replaying the sequential enqueue logic exactly.  The outcome —
-    violation, minimal trace, depth, state/transition/pruned counts — is
-    identical to [bfs] on the same system, bounds and reduction; only
-    [elapsed] differs.  [system.next] (and [reduction], if any) must be
-    safe to call concurrently on distinct states. *)
+    {!bfs} on the same engine, with each frontier level expanded on
+    [pool] (chunked over the level) before its merge; a pool of one
+    merges each state as soon as it is expanded, as {!bfs} does.  The
+    outcome — violation, minimal trace, depth, state/transition/pruned
+    counts — does not depend on the pool: it is identical to [bfs] on the
+    same system, bounds and reduction; only [elapsed] differs.
+    [system.next] (and [reduction], if any) must be safe to call
+    concurrently on distinct states. *)
 val par_bfs :
   ?max_states:int ->
   ?max_depth:int ->

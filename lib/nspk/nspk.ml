@@ -334,12 +334,7 @@ let next st =
   t_start st @ t_respond st @ t_finish_init st @ t_finish_resp st @ t_fake st
 
 let system scen =
-  {
-    Mc.initial = initial scen;
-    next;
-    key;
-    show_action = (fun l -> Format.asprintf "%a" pp_label l);
-  }
+  { Mc.initial = initial scen; next; key }
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)

@@ -55,9 +55,8 @@ val session :
   state -> owner:Term.t -> peer:Term.t -> sid:Term.t -> (Term.t * Term.t * Term.t * Term.t) option
 
 (** An action label: the transition's rule name and the terms it was
-    instantiated with.  The terms are printed only by {!pp_label} (and the
-    system's [show_action]), so a search that shows no trace never renders
-    them. *)
+    instantiated with.  The terms are printed only by {!pp_label}, so a
+    search that shows no trace never renders them. *)
 type label = { rule : string; args : Term.t list }
 
 (** [pp_label] prints the rule, padded to 10 columns, then

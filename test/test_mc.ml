@@ -11,7 +11,6 @@ let counter_system ~limit =
     Mc.initial = 0;
     next = (fun n -> if n >= limit then [] else [ "inc", n + 1 ]);
     key = string_of_int;
-    show_action = Fun.id;
   }
 
 let test_bfs_exhausts () =
@@ -278,7 +277,7 @@ let test_nspk_completes_honestly () =
    same violation, same minimal trace, same state/transition counts. *)
 
 let stats_sig (s : Mc.stats) =
-  s.Mc.states_explored, s.Mc.transitions_fired, s.Mc.max_depth
+  s.Mc.states_explored, s.Mc.transitions_fired, s.Mc.states_pruned, s.Mc.max_depth
 
 let outcome_sig = function
   | Mc.No_violation s -> "none", "", [], 0, stats_sig s
@@ -286,10 +285,10 @@ let outcome_sig = function
   | Mc.Violation (v, s) ->
     "violation", v.Mc.property, v.Mc.trace, v.Mc.depth, stats_sig s
 
-let check_par_agrees ?max_states ?max_depth name system ~props =
-  let seq = Mc.bfs ?max_states ?max_depth system ~props in
-  Sched.Pool.with_pool ~jobs:3 @@ fun pool ->
-  let par = Mc.par_bfs ?max_states ?max_depth ~pool system ~props in
+let check_par_agrees ?(jobs = 3) ?max_states ?max_depth ?reduction name system ~props =
+  let seq = Mc.bfs ?max_states ?max_depth ?reduction system ~props in
+  Sched.Pool.with_pool ~jobs @@ fun pool ->
+  let par = Mc.par_bfs ?max_states ?max_depth ?reduction ~pool system ~props in
   Alcotest.(check bool) name true (outcome_sig seq = outcome_sig par)
 
 let test_par_bfs_counter () =
@@ -302,6 +301,58 @@ let test_par_bfs_counter () =
   check_par_agrees ~max_depth:3 "toy bounds"
     (counter_system ~limit:10)
     ~props:[ "below-7", (fun n -> n < 7) ]
+
+(* A branching toy system: unlike the counter chain, its levels are wide,
+   so a state bound can end a search between two states of one level. *)
+let branching_system =
+  {
+    Mc.initial = 0;
+    next =
+      (fun n ->
+        List.filter
+          (fun (_, m) -> m < 200)
+          [ "dbl1", (2 * n) + 1; "dbl2", (2 * n) + 2; "add3", n + 3; "add6", n + 6 ]);
+    key = string_of_int;
+  }
+
+(* "add3" and "add6" are the ample actions, so each compound step
+   subsumes one of them; the canonizer folds every state from 190 up into
+   190, where both only reach the state's own orbit and are pruned. *)
+let branching_reduction =
+  { Mc.ample = (fun a -> a = "add3" || a = "add6"); canon = (fun n -> min n 190) }
+
+let bound_sig ?reduction name expected =
+  match
+    Mc.bfs ~max_states:10 ?reduction branching_system ~props:[ "any", (fun _ -> true) ]
+  with
+  | Mc.Out_of_bounds s ->
+    Alcotest.(check (list int))
+      name expected
+      [ s.Mc.states_explored; s.Mc.transitions_fired; s.Mc.states_pruned; s.Mc.max_depth ]
+  | _ -> Alcotest.fail "expected the state bound to end the search"
+
+let test_par_bfs_cut_level () =
+  bound_sig "full: the bound trips between levels 1 and 2" [ 13; 20; 0; 2 ];
+  bound_sig ~reduction:branching_reduction
+    "reduced: the bound trips after two of level 2's four states" [ 12; 15; 7; 3 ];
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun max_states ->
+          List.iter
+            (fun (rname, reduction) ->
+              List.iter
+                (fun (pname, props) ->
+                  check_par_agrees ~jobs ~max_states ?reduction
+                    (Printf.sprintf "jobs %d, %d states, %s, %s" jobs max_states rname pname)
+                    branching_system ~props)
+                [
+                  "bounds", [ "any", (fun _ -> true) ];
+                  "violation", [ "not-40", (fun n -> n <> 40) ];
+                ])
+            [ "full", None; "reduced", Some branching_reduction ])
+        [ 10; 37 ])
+    [ 1; 2; 3 ]
 
 let test_par_bfs_lowe_attack () =
   let scen = Nspk.default_scenario Nspk.Classic in
@@ -347,6 +398,7 @@ let tests =
     "nsl fixed clean", `Quick, test_nsl_fixed_is_clean;
     "nspk completes honestly", `Quick, test_nspk_completes_honestly;
     "par_bfs toy systems", `Quick, test_par_bfs_counter;
+    "par_bfs state bound cuts a level", `Quick, test_par_bfs_cut_level;
     "par_bfs lowe attack", `Quick, test_par_bfs_lowe_attack;
     "par_bfs no violation", `Quick, test_par_bfs_no_violation;
     "par_bfs tls 2'", `Quick, test_par_bfs_tls;

@@ -185,7 +185,7 @@ let prop_tls_differential =
    empty and is filled on the pool's domains. *)
 let test_par_bfs_reduction_agrees () =
   Sched.Pool.with_pool ~jobs:2 @@ fun pool ->
-  let check_system name system reduction ~props ~max_depth =
+  let check_system name system reduction ~pp ~props ~max_depth =
     let seq = Mc.bfs ~max_states:20_000 ~max_depth ~reduction:(reduction ()) system ~props in
     let par =
       Mc.par_bfs ~max_states:20_000 ~max_depth ~reduction:(reduction ()) ~pool system ~props
@@ -200,25 +200,27 @@ let test_par_bfs_reduction_agrees () =
     | Mc.Violation (v, _), Mc.Violation (v', _) ->
       Alcotest.(check (list string))
         (name ^ " trace")
-        (List.map system.Mc.show_action v.Mc.trace)
-        (List.map system.Mc.show_action v'.Mc.trace)
+        (List.map (Format.asprintf "%a" pp) v.Mc.trace)
+        (List.map (Format.asprintf "%a" pp) v'.Mc.trace)
     | _ -> ()
   in
   let nsl = Lazy.force nsl_scen_l in
-  check_system "nsl" (Nspk.system nsl) (fun () -> Nspk.reduction nsl)
+  check_system "nsl" (Nspk.system nsl) (fun () -> Nspk.reduction nsl) ~pp:Nspk.pp_label
     ~props:[ "responder-agreement", Nspk.responder_agreement ]
     ~max_depth:6;
   let nspk = Lazy.force nspk_scen_l in
-  check_system "nspk" (Nspk.system nspk) (fun () -> Nspk.reduction nspk)
+  check_system "nspk" (Nspk.system nspk) (fun () -> Nspk.reduction nspk) ~pp:Nspk.pp_label
     ~props:[ "responder-agreement", Nspk.responder_agreement ]
     ~max_depth:7;
   let tls = Lazy.force tls_scen_l in
   check_system "tls" (Tls.Concrete.system tls) (fun () -> Tls.Concrete.reduction tls)
+    ~pp:Tls.Concrete.pp_label
     ~props:[ "cf-authentic", Tls.Concrete.prop_cf_authentic ]
     ~max_depth:4;
   (* the property sweep holds to depth 5, so the whole reduced space is
      canonized, most of it on the worker *)
   check_system "tls sweep" (Tls.Concrete.system tls) (fun () -> Tls.Concrete.reduction tls)
+    ~pp:Tls.Concrete.pp_label
     ~props:
       [
         "pms-secrecy", Tls.Concrete.prop_pms_secrecy tls;
