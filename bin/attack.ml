@@ -93,9 +93,4 @@ let () =
          "sf2-authentic", Tls.Concrete.prop_sf2_authentic;
        ]);
   Telemetry.Cli.flush ~process_name:"attack" ~profile:!profile
-    ~gauges:(fun () ->
-      [
-        ( "mc.por.pruned",
-          float_of_int (Telemetry.Metrics.value (Telemetry.Metrics.counter "mc.por.pruned")) );
-      ])
     ~trace_out:!trace_out ()

@@ -132,13 +132,7 @@ let () =
       Format.printf "wrote %s (%d graph%s)@." !dot (List.length graphs)
         (if List.length graphs = 1 then "" else "s")
   end;
-  Telemetry.Cli.flush ~process_name:"lint"
-    ~gauges:(fun () ->
-      let shards = Kernel.Term.intern_shard_stats () in
-      [
-        "kernel.intern.live_terms",
-        float_of_int (Array.fold_left ( + ) 0 shards);
-        "kernel.intern.max_shard", float_of_int (Array.fold_left max 0 shards);
-      ])
-    ~profile:!profile ~trace_out:!trace_out ();
+  Kernel.Term.publish_intern_gauges ();
+  Telemetry.Cli.flush ~process_name:"lint" ~profile:!profile
+    ~trace_out:!trace_out ();
   exit (if report.Analysis.Lint.errors > 0 then Exit.failure else Exit.ok)

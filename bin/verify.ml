@@ -49,19 +49,6 @@
 
 open Core
 
-(* Flush-time gauges: sampled once, after the campaign has settled. *)
-let intern_gauges () =
-  let shards = Kernel.Term.intern_shard_stats () in
-  let live = Array.fold_left ( + ) 0 shards in
-  let occupied =
-    Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 shards
-  in
-  [
-    "kernel.intern.live_terms", float_of_int live;
-    "kernel.intern.shards_occupied", float_of_int occupied;
-    "kernel.intern.max_shard", float_of_int (Array.fold_left max 0 shards);
-  ]
-
 let run_one ?pool env proof =
   let r = Proofs.Tls_invariants.run ?pool env proof in
   Format.printf "%a@.@." Report.pp_result r;
@@ -349,9 +336,11 @@ let () =
     if failures <> [] || !unexpected_proof then Exit.failure else Exit.ok
   in
   (* flush outside with_pool so the shutdown-time utilization gauge and
-     every worker's buffers are included *)
-  Telemetry.Cli.flush ~process_name:"verify" ~gauges:intern_gauges
-    ~profile:!profile ~trace_out:!trace_out ();
+     every worker's buffers are included; the intern gauges are sampled
+     once, after the campaign has settled *)
+  Kernel.Term.publish_intern_gauges ();
+  Telemetry.Cli.flush ~process_name:"verify" ~profile:!profile
+    ~trace_out:!trace_out ();
   if !log_file <> "" then
     Telemetry.Log.info "campaign_done" [ "exit", Telemetry.Log.I code ];
   if code <> 0 then exit code

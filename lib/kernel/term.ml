@@ -230,6 +230,16 @@ let intern_shard_stats () =
 
 let intern_table_len () = Array.fold_left ( + ) 0 (intern_shard_stats ())
 
+let publish_intern_gauges () =
+  let shards = intern_shard_stats () in
+  let set name v =
+    Telemetry.Probe.set_gauge ("kernel.intern." ^ name) (float_of_int v)
+  in
+  set "live_terms" (Array.fold_left ( + ) 0 shards);
+  set "shards_occupied"
+    (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 shards);
+  set "max_shard" (Array.fold_left max 0 shards)
+
 (* AC argument order: hash-major with a structural tie-break — never the
    id.  Ids are not stable over time (the intern table is weak: a term can
    die and be re-interned with a fresh id), so an id-dependent order would

@@ -161,9 +161,13 @@ val intern_table_len : unit -> int
     table's shards (index = shard number).  A shard is chosen by the high
     bits of an intern key that mixes a node's hash with its children's
     ids, so occupancy skew across shards indicates key imbalance, not
-    structural-hash imbalance; the telemetry layer reports the
-    min/mean/max at flush time. *)
+    structural-hash imbalance. *)
 val intern_shard_stats : unit -> int array
+
+(** [publish_intern_gauges ()] samples {!intern_shard_stats} once and sets
+    the gauges [kernel.intern.live_terms], [kernel.intern.shards_occupied]
+    and [kernel.intern.max_shard] ({!Telemetry.Probe.set_gauge}). *)
+val publish_intern_gauges : unit -> unit
 
 (** {1 Printing} *)
 

@@ -32,7 +32,7 @@ type 'action outcome =
 
 exception Found of string * int
 
-let c_pruned = Telemetry.Metrics.counter "mc.por.pruned"
+let c_pruned = Telemetry.Probe.counter ~live:true "mc.por.pruned"
 
 (* A seen state.  Parent pointers (by state key) reconstruct traces.  With
    a reduction, a whole chase of ample transitions collapses into one
@@ -140,7 +140,7 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
     end
   in
   let mk_stats () =
-    Telemetry.Metrics.add c_pruned !pruned;
+    Telemetry.Probe.add c_pruned !pruned;
     {
       states_explored = !states;
       transitions_fired = !transitions;

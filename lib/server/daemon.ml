@@ -1,20 +1,22 @@
 module P = Protocol
-module Metrics = Telemetry.Metrics
+module Probe = Telemetry.Probe
 module Log = Telemetry.Log
 module Flight = Telemetry.Flight
 module Obs = Telemetry.Obs
 module Exit = Telemetry.Cli.Exit
 
 (* ------------------------------------------------------------------ *)
-(* Operational metrics (always on; served by the [metrics] request) *)
+(* Operational metrics (live counters, always on; served by the [metrics]
+   request next to every other instrument of the process) *)
 
-let c_requests = Metrics.counter "server.requests"
-let c_connections = Metrics.counter "server.connections"
-let c_timeouts = Metrics.counter "server.timeouts"
-let c_protocol_errors = Metrics.counter "server.protocol_errors"
-let c_lint_cache_hits = Metrics.counter "server.lint.cache_hits"
-let c_secrecy_cache_hits = Metrics.counter "server.secrecy.cache_hits"
-let h_latency = Metrics.histogram "server.request_latency"
+let live name = Probe.counter ~live:true name
+let c_requests = live "server.requests"
+let c_connections = live "server.connections"
+let c_timeouts = live "server.timeouts"
+let c_protocol_errors = live "server.protocol_errors"
+let c_lint_cache_hits = live "server.lint.cache_hits"
+let c_secrecy_cache_hits = live "server.secrecy.cache_hits"
+let h_latency = Probe.histogram "server.request_latency"
 
 type config = {
   socket : string;
@@ -83,7 +85,7 @@ let model_style = function
   | P.Variant -> Tls.Model.Cf2First
 
 let uptime_s resident =
-  float_of_int (Telemetry.Probe.now_ns () - resident.started_ns) /. 1e9
+  float_of_int (Probe.now_ns () - resident.started_ns) /. 1e9
 
 let verdict_of_result ~negative (r : Core.Induction.result) =
   let case (c : Core.Induction.case_result) =
@@ -162,17 +164,16 @@ let finish_job resident conn job ~exit_code =
   send conn (P.Done { exit_code });
   ignore (Queue.pop conn.jobs_q);
   resident.served <- resident.served + 1;
-  Metrics.incr c_requests;
-  Metrics.incr (Metrics.counter ("server.requests." ^ job.kind));
-  let dt_ns = Telemetry.Probe.now_ns () - job.t0_ns in
-  Metrics.observe_ns h_latency dt_ns;
-  Metrics.observe_ns
-    (Metrics.histogram ("server.request_latency." ^ job.kind))
+  Probe.incr c_requests;
+  Probe.incr (live ("server.requests." ^ job.kind));
+  let dt_ns = Probe.now_ns () - job.t0_ns in
+  Probe.observe_ns h_latency dt_ns;
+  Probe.observe_ns
+    (Probe.histogram ("server.request_latency." ^ job.kind))
     dt_ns;
-  if Telemetry.Probe.enabled () then
-    Telemetry.Probe.with_request (Some job.req_id) (fun () ->
-        Telemetry.Probe.span_since ~cat:"server" ("req:" ^ job.kind) job.t0_ns)
-  else Telemetry.Probe.span_since ~cat:"server" ("req:" ^ job.kind) job.t0_ns;
+  if Probe.enabled () then
+    Probe.with_request (Some job.req_id) (fun () ->
+        Probe.span_since ~cat:"server" ("req:" ^ job.kind) job.t0_ns);
   let ms = float_of_int dt_ns /. 1e6 in
   let fields =
     [
@@ -190,7 +191,7 @@ let finish_job resident conn job ~exit_code =
 (* ------------------------------------------------------------------ *)
 (* Immediate requests *)
 
-(* Point-in-time gauges, recomputed on every export (s-expr Metrics
+(* Point-in-time gauges, recomputed on every export (s-expr [metrics]
    request and HTTP /metrics alike). *)
 let refresh_gauges resident =
   List.iter
@@ -199,41 +200,40 @@ let refresh_gauges resident =
       let ms = Kernel.Rewrite.memo_stats sys in
       let looked = ms.Kernel.Rewrite.hits + ms.Kernel.Rewrite.misses in
       let prefix = "server.memo." ^ P.style_name wire in
-      Metrics.set_gauge (prefix ^ ".hit_rate")
+      Probe.set_gauge (prefix ^ ".hit_rate")
         (if looked = 0 then 0.
          else float_of_int ms.Kernel.Rewrite.hits /. float_of_int looked);
-      Metrics.set_gauge (prefix ^ ".entries")
+      Probe.set_gauge (prefix ^ ".entries")
         (float_of_int ms.Kernel.Rewrite.entries))
     resident.envs;
-  Metrics.set_gauge "server.intern.live_terms"
-    (float_of_int (Kernel.Term.intern_table_len ()));
-  Metrics.set_gauge "server.registry.entries"
+  Kernel.Term.publish_intern_gauges ();
+  Probe.set_gauge "server.registry.entries"
     (float_of_int (Registry.size resident.registry));
-  Metrics.set_gauge "server.registry.in_flight"
+  Probe.set_gauge "server.registry.in_flight"
     (float_of_int (Registry.in_flight_count resident.registry));
-  Metrics.set_gauge "server.queue_depth" (float_of_int resident.pending);
-  Metrics.set_gauge "server.uptime_s" (uptime_s resident)
+  Probe.set_gauge "server.queue_depth" (float_of_int resident.pending);
+  Probe.set_gauge "server.uptime_s" (uptime_s resident)
 
 let metrics_response resident =
   refresh_gauges resident;
-  let snap = Metrics.snapshot () in
+  let ins = Probe.instruments () in
   P.Rmetrics
     {
-      counters = snap.Metrics.m_counters;
-      gauges = snap.Metrics.m_gauges;
+      counters = ins.Probe.in_counters;
+      gauges = ins.Probe.in_gauges;
       histograms =
         List.map
-          (fun (h : Metrics.histogram_view) ->
-            ( h.Metrics.h_name,
+          (fun (h : Probe.histogram_view) ->
+            ( h.Probe.h_name,
               [|
-                float_of_int h.Metrics.h_count;
-                h.Metrics.h_sum_ms;
-                h.Metrics.h_p50_ms;
-                h.Metrics.h_p90_ms;
-                h.Metrics.h_p99_ms;
-                h.Metrics.h_max_ms;
+                float_of_int h.Probe.h_count;
+                h.Probe.h_sum_ms;
+                h.Probe.h_p50_ms;
+                h.Probe.h_p90_ms;
+                h.Probe.h_p99_ms;
+                h.Probe.h_max_ms;
               |] ))
-          snap.Metrics.m_histograms;
+          ins.Probe.in_histograms;
     }
 
 let handle_eval resident ~step_limit ~deadline_s src emit =
@@ -265,7 +265,7 @@ let handle_eval resident ~step_limit ~deadline_s src emit =
       Exit.ok
     with
     | Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-      Metrics.incr c_timeouts;
+      Probe.incr c_timeouts;
       Log.warn "timeout" [ "kind", Log.S "eval"; "steps", Log.I steps ];
       flight_dump resident "limit-exceeded: eval";
       let limit =
@@ -283,7 +283,7 @@ let handle_eval resident ~step_limit ~deadline_s src emit =
 (* Request intake: build the job (dispatching pool work now), enqueue *)
 
 let start_request resident conn ~req_id req =
-  let t0_ns = Telemetry.Probe.now_ns () in
+  let t0_ns = Probe.now_ns () in
   let enqueue kind active =
     Queue.push { active; kind; req_id; t0_ns } conn.jobs_q
   in
@@ -298,7 +298,7 @@ let start_request resident conn ~req_id req =
     let task =
       match cached with
       | Some report ->
-        Metrics.incr c_lint_cache_hits;
+        Probe.incr c_lint_cache_hits;
         Sched.Task.of_result report
       | None ->
         Sched.Pool.submit resident.pool (fun () ->
@@ -317,7 +317,7 @@ let start_request resident conn ~req_id req =
     let task =
       match cached with
       | Some result ->
-        Metrics.incr c_secrecy_cache_hits;
+        Probe.incr c_secrecy_cache_hits;
         Sched.Task.of_result result
       | None ->
         Sched.Pool.submit resident.pool (fun () ->
@@ -397,7 +397,7 @@ let start_request resident conn ~req_id req =
            computed once and kept resident) becomes the certificate. *)
         let task =
           Sched.Pool.submit resident.pool (fun () ->
-              Telemetry.Probe.with_span ~always:true ~cat:"server"
+              Probe.with_span ~always:true ~cat:"server"
                 "verify-certify"
               @@ fun () ->
               let tr = Kernel.Rewrite.tracer () in
@@ -458,7 +458,7 @@ let start_request resident conn ~req_id req =
               Registry.find_or_submit ~requester:req_id resident.registry ~key
                 (fun () ->
                   Sched.Pool.submit resident.pool (fun () ->
-                      Telemetry.Probe.with_span ~always:true ~cat:"server"
+                      Probe.with_span ~always:true ~cat:"server"
                         ("obligation:" ^ name)
                       @@ fun () ->
                       Proofs.Tls_invariants.run ~pool:resident.pool env proof))
@@ -493,6 +493,7 @@ let progress resident conn ~request_shutdown =
               (P.Pong { pid = Unix.getpid (); uptime_s = uptime_s resident });
             Exit.ok
           | P.Status ->
+            let dedup_hits, dedup_misses = Registry.dedup_counts () in
             send conn
               (P.Rstatus
                  {
@@ -500,10 +501,8 @@ let progress resident conn ~request_shutdown =
                    jobs = Sched.Pool.jobs resident.pool;
                    requests = resident.served;
                    in_flight = Registry.in_flight_count resident.registry;
-                   dedup_hits =
-                     Metrics.value (Metrics.counter "server.dedup.hits");
-                   dedup_misses =
-                     Metrics.value (Metrics.counter "server.dedup.misses");
+                   dedup_hits;
+                   dedup_misses;
                    styles = List.map fst resident.envs;
                  });
             Exit.ok
@@ -610,7 +609,7 @@ let progress resident conn ~request_shutdown =
                else Exit.ok);
           pump ()
         | exception Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-          Metrics.incr c_timeouts;
+          Probe.incr c_timeouts;
           Log.warn "timeout"
             [ "id", Log.S job.req_id; "kind", Log.S job.kind; "steps", Log.I steps ];
           flight_dump resident "limit-exceeded: verify-certify";
@@ -692,7 +691,7 @@ let progress resident conn ~request_shutdown =
             a.todo <- rest;
             pump ()
           | exception Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-            Metrics.incr c_timeouts;
+            Probe.incr c_timeouts;
             Log.warn "timeout"
               [
                 "id", Log.S job.req_id;
@@ -761,19 +760,19 @@ let read_conn resident conn =
           Log.debug "request_start" [ "id", Log.S req_id ];
           (* the request id is installed while dispatching so the pool
              captures it onto every obligation submitted for this job *)
-          if Telemetry.Probe.enabled () then
-            Telemetry.Probe.with_request (Some req_id) (fun () ->
+          if Probe.enabled () then
+            Probe.with_request (Some req_id) (fun () ->
                 start_request resident conn ~req_id req)
           else start_request resident conn ~req_id req
         | Error msg ->
-          Metrics.incr c_protocol_errors;
+          Probe.incr c_protocol_errors;
           Log.warn "protocol_error" [ "msg", Log.S msg ];
           send conn (P.Rerror { code = "protocol"; msg });
           send conn (P.Done { exit_code = Exit.usage }));
         drain_frames ()
       | Error msg ->
         (* framing is unrecoverable: answer, then close once flushed *)
-        Metrics.incr c_protocol_errors;
+        Probe.incr c_protocol_errors;
         Log.warn "protocol_error" [ "msg", Log.S msg ];
         send conn (P.Rerror { code = "protocol"; msg });
         send conn (P.Done { exit_code = Exit.usage });
@@ -803,14 +802,14 @@ let statusz_json resident ~draining =
        (uptime_s resident) (Unix.getpid ())
        (Sched.Pool.jobs resident.pool)
        draining resident.served resident.pending);
+  let dedup_hits, dedup_misses = Registry.dedup_counts () in
   Buffer.add_string b
     (Printf.sprintf
        ",\"registry\":{\"entries\":%d,\"in_flight\":%d,\"dedup_hits\":%d,\
         \"dedup_misses\":%d}"
        (Registry.size resident.registry)
        (Registry.in_flight_count resident.registry)
-       (Metrics.value (Metrics.counter "server.dedup.hits"))
-       (Metrics.value (Metrics.counter "server.dedup.misses")));
+       dedup_hits dedup_misses);
   Buffer.add_string b ",\"styles\":[";
   List.iteri
     (fun i (s, _) ->
@@ -820,7 +819,7 @@ let statusz_json resident ~draining =
   Buffer.add_string b "]";
   Buffer.add_string b
     (Printf.sprintf ",\"build\":{\"ocaml\":\"%s\"}"
-       (Obs.json_escape Sys.ocaml_version));
+       (Flight.json_escape Sys.ocaml_version));
   Buffer.add_string b "}\n";
   Buffer.contents b
 
@@ -834,7 +833,7 @@ let http_route resident ~draining (r : Obs.Http.request) =
       Obs.Http.response ~content_type:Obs.content_type
         (Obs.render_openmetrics
            ~labeled:[ "server.request_latency", "type" ]
-           (Metrics.snapshot ()))
+           (Probe.instruments ()))
     | "/healthz" ->
       if draining then Obs.Http.response ~status:503 "draining\n"
       else Obs.Http.response "ok\n"
@@ -934,7 +933,7 @@ let run config =
       secrecy_cache = Hashtbl.create 4;
       static_certs = Hashtbl.create 4;
       eval_env = Cafeobj.Eval.create ();
-      started_ns = Telemetry.Probe.now_ns ();
+      started_ns = Probe.now_ns ();
       slow_ms = config.slow_ms;
       flight_path = config.flight_path;
       served = 0;
@@ -976,7 +975,7 @@ let run config =
       match Unix.accept ~cloexec:true lfd with
       | fd, _ ->
         Unix.set_nonblock fd;
-        Metrics.incr c_connections;
+        Probe.incr c_connections;
         Hashtbl.replace conns fd
           {
             fd;

@@ -15,9 +15,11 @@
     campaign order while later obligations are still running.  Identical
     in-flight obligations from concurrent clients are deduplicated against
     a single shared future ({!Registry}).  Each request runs under a
-    [cat = "server"] telemetry span, and always-on {!Telemetry.Metrics}
-    (request counters, dedup hit rate, latency histograms, memo/intern
-    occupancy gauges) are served by the [metrics] request.
+    [cat = "server"] telemetry span.  The [metrics] request serves every
+    instrument of the process ({!Telemetry.Probe.instruments}): the live
+    server counters (requests, dedup hit rate), latency histograms and
+    memo/intern occupancy gauges, and the kernel and scheduler counters,
+    which advance only while recording is on ([verifyd --profile]).
 
     Graceful shutdown: a [shutdown] request, SIGINT or SIGTERM stops
     accepting, lets in-flight requests finish, flushes every connection,

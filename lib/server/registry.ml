@@ -2,8 +2,11 @@
    exercised directly by tests from several domains, so every operation
    holds the (uncontended) lock. *)
 
-let c_hits = Telemetry.Metrics.counter "server.dedup.hits"
-let c_misses = Telemetry.Metrics.counter "server.dedup.misses"
+let c_hits = Telemetry.Probe.counter ~live:true "server.dedup.hits"
+let c_misses = Telemetry.Probe.counter ~live:true "server.dedup.misses"
+
+let dedup_counts () =
+  Telemetry.Probe.value c_hits, Telemetry.Probe.value c_misses
 
 (* Requesters are kept newest-first and capped: the list exists so a
    trace or log line can answer "who is waiting on this obligation",
@@ -66,14 +69,14 @@ let find_or_submit ?requester t ~key spawn =
   with_lock t @@ fun () ->
   match Hashtbl.find_opt t.entries key with
   | Some e ->
-    Telemetry.Metrics.incr c_hits;
+    Telemetry.Probe.incr c_hits;
     (* refresh recency so hot obligations outlive cold ones *)
     e.seq <- t.next_seq;
     t.next_seq <- t.next_seq + 1;
     attach e requester;
     e.task, if Sched.Task.is_resolved e.task then `Cached else `Inflight
   | None ->
-    Telemetry.Metrics.incr c_misses;
+    Telemetry.Probe.incr c_misses;
     let task = spawn () in
     let e = { task; seq = t.next_seq; requesters = [] } in
     attach e requester;

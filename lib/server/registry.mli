@@ -9,8 +9,9 @@
     near-instant.  Resolved entries are evicted oldest-first beyond
     [capacity]; in-flight entries are never evicted.
 
-    Counters [server.dedup.hits] / [server.dedup.misses]
-    ({!Telemetry.Metrics}) record the hit rate. *)
+    The live counters [server.dedup.hits] / [server.dedup.misses]
+    ({!Telemetry.Probe}) record the hit rate across every registry of
+    the process; {!dedup_counts} reads them. *)
 
 type 'a t
 
@@ -41,3 +42,7 @@ val in_flight_count : 'a t -> int
 
 (** [size t] is the number of live entries (cached + in flight). *)
 val size : 'a t -> int
+
+(** [dedup_counts ()] is [(hits, misses)] of every {!find_or_submit} in
+    the process so far. *)
+val dedup_counts : unit -> int * int

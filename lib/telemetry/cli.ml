@@ -16,10 +16,8 @@ let setup ?(span_min_ns = 10_000) ~profile ~trace_out () =
   end
 
 let flush ?(process_name = Filename.basename Sys.executable_name) ?(top = 10)
-    ?(gauges = fun () -> []) ?(out = Format.std_formatter) ~profile ~trace_out
-    () =
+    ?(out = Format.std_formatter) ~profile ~trace_out () =
   if active ~profile ~trace_out then begin
-    List.iter (fun (name, v) -> Probe.set_gauge name v) (gauges ());
     let snap = Probe.snapshot () in
     if trace_out <> "" then begin
       Perfetto.write_file ~process_name trace_out snap;

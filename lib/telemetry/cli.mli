@@ -5,12 +5,10 @@
 
     - {!setup} turns recording on when either flag is given (and applies a
       minimum span duration so rule-level spans cannot blow up the trace);
-    - {!flush} samples late-bound gauges, takes the snapshot, writes the
-      Perfetto trace and prints the hotspot report.
-
-    The [gauges] thunk lets each binary contribute process-specific
-    gauges (intern-table occupancy, memo hit rate, pool utilization)
-    without this module depending on the kernel. *)
+    - {!flush} takes the snapshot, writes the Perfetto trace and prints
+      the hotspot report.  A binary that reports process-specific gauges
+      (intern-table occupancy, say) sets them with {!Probe.set_gauge}
+      before calling it. *)
 
 (** The one table of process exit codes, shared by every binary ([verify],
     [lint], [check], [verifyd], the remote client) so overlapping numbers
@@ -52,15 +50,12 @@ val setup : ?span_min_ns:int -> profile:bool -> trace_out:string -> unit -> unit
 val active : profile:bool -> trace_out:string -> bool
 
 (** [flush ~profile ~trace_out ()] is a no-op unless {!active}.
-    Otherwise: runs [gauges] (default none) and records each returned
-    pair with {!Probe.set_gauge}, snapshots, writes [trace_out] (when
-    non-empty, announcing the file and span count on [out]) and — when
-    [profile] — prints the top-[top] hotspot report to [out] (default
-    {!Format.std_formatter}). *)
+    Otherwise: snapshots, writes [trace_out] (when non-empty, announcing
+    the file and span count on [out]) and — when [profile] — prints the
+    top-[top] hotspot report to [out] (default {!Format.std_formatter}). *)
 val flush :
   ?process_name:string ->
   ?top:int ->
-  ?gauges:(unit -> (string * float) list) ->
   ?out:Format.formatter ->
   profile:bool ->
   trace_out:string ->

@@ -41,7 +41,10 @@ val dump : reason:string -> string
     (write failures are swallowed — this runs on crash paths). *)
 val dump_to_file : reason:string -> string -> unit
 
-(** {1 Shared formatting helpers} (also used by {!Log}) *)
+(** {1 Shared formatting helpers}
+
+    The one JSON string escaper of the telemetry layer: {!Log},
+    {!Perfetto} and the daemon's [/statusz] builder use it too. *)
 
 (** [json_escape s] escapes [s] for inclusion inside a JSON string. *)
 val json_escape : string -> string

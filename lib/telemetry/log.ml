@@ -1,8 +1,8 @@
 (* Structured event log: leveled, key-value, JSON-lines.
 
-   The hot-path contract mirrors Metrics: an event below the threshold
-   (and with the flight recorder off) costs two atomic loads and nothing
-   else — no formatting, no allocation.  Emission itself serializes under
+   Like a disabled Probe span, an event below the threshold (and with the
+   flight recorder off) costs atomic loads (two) and nothing else — no
+   formatting, no allocation.  Emission itself serializes under
    one mutex (events are per-request, not per-rewrite), writes one line,
    and rotates the sink file when it outgrows the configured cap. *)
 
@@ -98,8 +98,6 @@ let write_line line =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let escape = Flight.json_escape
-
 let timestamp () = Flight.iso8601 (Unix.gettimeofday ())
 
 let render lvl ev fields =
@@ -109,17 +107,17 @@ let render lvl ev fields =
   Buffer.add_string b "\",\"lvl\":\"";
   Buffer.add_string b (level_name lvl);
   Buffer.add_string b "\",\"ev\":\"";
-  Buffer.add_string b (escape ev);
+  Buffer.add_string b (Flight.json_escape ev);
   Buffer.add_char b '"';
   List.iter
     (fun (k, v) ->
       Buffer.add_string b ",\"";
-      Buffer.add_string b (escape k);
+      Buffer.add_string b (Flight.json_escape k);
       Buffer.add_string b "\":";
       match v with
       | S s ->
         Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
+        Buffer.add_string b (Flight.json_escape s);
         Buffer.add_char b '"'
       | I n -> Buffer.add_string b (string_of_int n)
       | F f ->

@@ -1,5 +1,5 @@
-(* Serving observability: OpenMetrics text exposition over a Metrics
-   snapshot, plus the dependency-free HTTP/1.1 plumbing the daemon's
+(* Serving observability: OpenMetrics text exposition over the Probe
+   instruments, plus the dependency-free HTTP/1.1 plumbing the daemon's
    select() loop needs to serve it.  Everything here is pure string
    work — sockets stay in lib/server, so this library keeps its tiny
    dependency footprint and the renderers stay unit-testable. *)
@@ -43,7 +43,7 @@ let seconds_of_ns ns = float_of_int ns /. 1e9
 (* One histogram family: [label] is [Some (name, value)] for a member of
    a labeled family, [None] for a standalone one.  Buckets are emitted
    cumulative with [le] in seconds; the overflow bucket is [+Inf]. *)
-let add_histogram_samples buf family label (h : Metrics.histogram_view) =
+let add_histogram_samples buf family label (h : Probe.histogram_view) =
   let labels extra =
     match label, extra with
     | None, [] -> ""
@@ -61,19 +61,19 @@ let add_histogram_samples buf family label (h : Metrics.histogram_view) =
     (fun i n ->
       cum := !cum + n;
       let le =
-        if i >= Metrics.nbuckets then "+Inf"
-        else Printf.sprintf "%g" (seconds_of_ns (Metrics.bucket_bound_ns i))
+        if i >= Probe.nbuckets then "+Inf"
+        else Printf.sprintf "%g" (seconds_of_ns (Probe.bucket_bound_ns i))
       in
       Buffer.add_string buf
         (Printf.sprintf "%s_bucket%s %d\n" family
            (labels [ "le", le ])
            !cum))
-    h.Metrics.h_buckets;
+    h.Probe.h_buckets;
   Buffer.add_string buf
-    (Printf.sprintf "%s_count%s %d\n" family (labels []) h.Metrics.h_count);
+    (Printf.sprintf "%s_count%s %d\n" family (labels []) h.Probe.h_count);
   Buffer.add_string buf
     (Printf.sprintf "%s_sum%s %s\n" family (labels [])
-       (fmt_float (seconds_of_ns h.Metrics.h_sum_ns)))
+       (fmt_float (seconds_of_ns h.Probe.h_sum_ns)))
 
 (* [labeled] maps a histogram-name prefix to a label name: histograms
    called [prefix] or [prefix ^ "." ^ rest] are grouped into ONE family
@@ -81,73 +81,59 @@ let add_histogram_samples buf family label (h : Metrics.histogram_view) =
    so per-request-type latencies export as
    [server_request_latency_seconds{type="verify",le="…"}] next to the
    unlabeled all-requests series of the same family. *)
-let render_openmetrics ?(labeled = []) (snap : Metrics.snapshot) =
+let render_openmetrics ?(labeled = []) (ins : Probe.instruments) =
   let buf = Buffer.create 8192 in
   List.iter
     (fun (name, v) ->
       let n = sanitize_name name in
       Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
       Buffer.add_string buf (Printf.sprintf "%s_total %d\n" n v))
-    snap.Metrics.m_counters;
+    ins.Probe.in_counters;
   List.iter
     (fun (name, v) ->
       let n = sanitize_name name in
       Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
       Buffer.add_string buf (Printf.sprintf "%s %s\n" n (fmt_float v)))
-    snap.Metrics.m_gauges;
-  let member_of spec h =
-    let prefix, label = spec in
-    let name = h.Metrics.h_name in
-    if String.equal name prefix then Some (h, None)
-    else
-      let dotted = prefix ^ "." in
-      let pl = String.length dotted in
-      if String.length name > pl && String.equal (String.sub name 0 pl) dotted
-      then
-        Some (h, Some (label, String.sub name pl (String.length name - pl)))
-      else None
+    ins.Probe.in_gauges;
+  (* [Some (prefix, label)] when [h] belongs to the family of [prefix] *)
+  let member_of (prefix, label) h =
+    let name = h.Probe.h_name in
+    let dotted = prefix ^ "." in
+    let pl = String.length dotted in
+    if String.equal name prefix then Some (prefix, None)
+    else if
+      String.length name > pl && String.equal (String.sub name 0 pl) dotted
+    then
+      Some (prefix, Some (label, String.sub name pl (String.length name - pl)))
+    else None
   in
   let grouped, plain =
     List.fold_left
       (fun (grouped, plain) h ->
         match List.find_map (fun spec -> member_of spec h) labeled with
-        | Some (h, lbl) -> ((h, lbl) :: grouped, plain)
+        | Some (prefix, lbl) -> ((prefix, h, lbl) :: grouped, plain)
         | None -> (grouped, h :: plain))
-      ([], []) snap.Metrics.m_histograms
+      ([], []) ins.Probe.in_histograms
   in
   List.iter
     (fun (prefix, _label) ->
-      let members =
-        List.rev
-          (List.filter
-             (fun (h, _) ->
-               let name = h.Metrics.h_name in
-               String.equal name prefix
-               || String.length name > String.length prefix
-                  && String.equal
-                       (String.sub name 0 (String.length prefix + 1))
-                       (prefix ^ "."))
-             grouped)
-      in
-      if members <> [] then begin
+      match List.filter (fun (p, _, _) -> String.equal p prefix) grouped with
+      | [] -> ()
+      | members ->
         let family = sanitize_name prefix ^ "_seconds" in
         Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" family);
-        List.iter (fun (h, lbl) -> add_histogram_samples buf family lbl h) members
-      end)
+        List.iter
+          (fun (_, h, lbl) -> add_histogram_samples buf family lbl h)
+          (List.rev members))
     labeled;
   List.iter
     (fun h ->
-      let family = sanitize_name h.Metrics.h_name ^ "_seconds" in
+      let family = sanitize_name h.Probe.h_name ^ "_seconds" in
       Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" family);
       add_histogram_samples buf family None h)
     (List.rev plain);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* JSON helper for /statusz builders *)
-
-let json_escape = Flight.json_escape
 
 (* ------------------------------------------------------------------ *)
 (* Minimal HTTP/1.1: enough to serve GET /metrics to curl / Prometheus *)

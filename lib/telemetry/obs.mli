@@ -1,6 +1,6 @@
 (** Serving observability: OpenMetrics exposition and minimal HTTP.
 
-    Pure string builders over {!Metrics.snapshot} plus just enough
+    Pure string builders over {!Probe.instruments} plus just enough
     HTTP/1.1 to answer [curl] and a Prometheus scraper.  No sockets here
     — the daemon owns the file descriptors; this module owns the bytes,
     so the renderer and parser stay unit-testable without a server. *)
@@ -14,11 +14,12 @@ val sanitize_name : string -> string
     produced by {!render_openmetrics}. *)
 val content_type : string
 
-(** [render_openmetrics ?labeled snap] renders [snap] as OpenMetrics
-    text: counters get a [_total] sample, histograms become
-    [_seconds]-suffixed families with cumulative [_bucket{le="…"}]
-    samples (bounds converted from ns), [_count] and [_sum]; the
-    exposition ends with [# EOF].
+(** [render_openmetrics ?labeled ins] renders [ins] as OpenMetrics
+    text: counters get a [_total] sample, gauges (among them the [`Max]
+    counters, which {!Probe.instruments} lists as gauges) a plain one,
+    histograms become [_seconds]-suffixed families with cumulative
+    [_bucket{le="…"}] samples (bounds converted from ns), [_count] and
+    [_sum]; the exposition ends with [# EOF].
 
     [labeled] groups histogram families: an entry [(prefix, label)]
     folds every histogram named [prefix] or [prefix ^ "." ^ rest] into
@@ -28,11 +29,7 @@ val content_type : string
     [server_request_latency_seconds_bucket{type="verify",le="…"}]
     alongside the unlabeled all-requests series. *)
 val render_openmetrics :
-  ?labeled:(string * string) list -> Metrics.snapshot -> string
-
-(** [json_escape] — re-export of {!Flight.json_escape} for [/statusz]
-    builders. *)
-val json_escape : string -> string
+  ?labeled:(string * string) list -> Probe.instruments -> string
 
 module Http : sig
   type request = { meth : string; target : string }

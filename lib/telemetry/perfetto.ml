@@ -1,17 +1,3 @@
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us_of_ns ns = float_of_int ns /. 1e3
 
 let to_string ?(process_name = "eqtls") (snap : Probe.snapshot) =
@@ -25,7 +11,7 @@ let to_string ?(process_name = "eqtls") (snap : Probe.snapshot) =
   event
     (Printf.sprintf
        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"%s\"}}"
-       (escape process_name));
+       (Flight.json_escape process_name));
   let doms =
     List.sort_uniq compare
       (List.map (fun (sp : Probe.span) -> sp.Probe.sp_dom) snap.Probe.sn_spans)
@@ -44,13 +30,16 @@ let to_string ?(process_name = "eqtls") (snap : Probe.snapshot) =
          can filter one remote request's work across domains *)
       let args =
         if String.equal sp.Probe.sp_req "" then ""
-        else Printf.sprintf ",\"args\":{\"req\":\"%s\"}" (escape sp.Probe.sp_req)
+        else
+          Printf.sprintf ",\"args\":{\"req\":\"%s\"}"
+            (Flight.json_escape sp.Probe.sp_req)
       in
       event
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\
             \"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-           (escape sp.Probe.sp_name) (escape sp.Probe.sp_cat)
+           (Flight.json_escape sp.Probe.sp_name)
+           (Flight.json_escape sp.Probe.sp_cat)
            (us_of_ns (sp.Probe.sp_t0 - snap.Probe.sn_t0))
            (us_of_ns sp.Probe.sp_dur) sp.Probe.sp_dom args))
     snap.Probe.sn_spans;
@@ -58,7 +47,7 @@ let to_string ?(process_name = "eqtls") (snap : Probe.snapshot) =
   let first = ref true in
   let field k v =
     if !first then first := false else Buffer.add_string b ",";
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" (escape k) v)
+    Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Flight.json_escape k) v)
   in
   List.iter
     (fun (name, v) -> field name (string_of_int v))

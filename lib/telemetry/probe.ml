@@ -2,10 +2,10 @@
 
    Every hot-path operation touches only domain-local state reached
    through [Domain.DLS]: a span/profile buffer per domain, and one cell
-   per (counter, domain).  The only global synchronization is the
-   registration of a fresh buffer or cell (once per domain per object,
-   under a mutex) and the snapshot/reset pass, which is documented as
-   quiescent-only. *)
+   per (counter, domain); histograms are shared atomic cells.  The only
+   global synchronization is the registration of an instrument or of a
+   fresh buffer or cell (once per domain per object, under a mutex) and
+   the snapshot/reset pass, which is documented as quiescent-only. *)
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
@@ -178,8 +178,9 @@ let rule_enter () =
   b.db_stack <- f :: b.db_stack;
   f
 
-let rcell_of b label =
-  match Hashtbl.find_opt b.db_rules label with
+(* the accumulator for [label] in [tbl], created zeroed on first use *)
+let rcell_in tbl label =
+  match Hashtbl.find_opt tbl label with
   | Some c -> c
   | None ->
     let c =
@@ -195,7 +196,7 @@ let rcell_of b label =
         rc_match_total = 0;
       }
     in
-    Hashtbl.add b.db_rules label c;
+    Hashtbl.add tbl label c;
     c
 
 let rule_exit f ~kind ~label =
@@ -211,7 +212,7 @@ let rule_exit f ~kind ~label =
   (match b.db_stack with
   | parent :: _ -> parent.fr_child <- parent.fr_child + total
   | [] -> ());
-  let c = rcell_of b label in
+  let c = rcell_in b.db_rules label in
   (match kind with
   | Rewrite ->
     c.rc_fires <- c.rc_fires + 1;
@@ -231,49 +232,71 @@ let rule_exit f ~kind ~label =
       ~name:label ~t0:f.fr_t0 ~dur:total ~depth:(List.length b.db_stack)
 
 (* ------------------------------------------------------------------ *)
-(* Counters *)
+(* Instruments: counters, gauges and histograms, one table each, found or
+   created by name under one lock.  Registration is rare (module
+   initialization, or the first request of a kind); the hot paths touch
+   only their own cells. *)
 
+let table_lock = Mutex.create ()
+
+let find_or_add tbl name make =
+  Mutex.protect table_lock (fun () ->
+      match Hashtbl.find_opt tbl name with
+      | Some x -> x
+      | None ->
+        let x = make () in
+        Hashtbl.add tbl name x;
+        x)
+
+let sorted_bindings tbl =
+  Mutex.protect table_lock (fun () ->
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* Counters.  [c_gate] is [enabled_flag] for a profiling-only counter and
+   [always] for a live one, so either kind costs one load and one branch
+   before the store. *)
 type counter = {
-  c_name : string;
   c_mode : [ `Sum | `Max ];
+  c_gate : bool Atomic.t;
   c_lock : Mutex.t;
   mutable c_cells : int ref list;
   c_key : int ref Domain.DLS.key;
 }
 
-let counters_lock = Mutex.create ()
-let all_counters : counter list ref = ref []
+let always = Atomic.make true
+let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 
-let counter ?(mode = `Sum) name =
-  let rec c =
-    lazy
-      {
-        c_name = name;
-        c_mode = mode;
-        c_lock = Mutex.create ();
-        c_cells = [];
-        c_key =
-          Domain.DLS.new_key (fun () ->
-              let cell = ref 0 in
-              let c = Lazy.force c in
-              Mutex.protect c.c_lock (fun () -> c.c_cells <- cell :: c.c_cells);
-              cell);
-      }
-  in
-  let c = Lazy.force c in
-  Mutex.protect counters_lock (fun () -> all_counters := c :: !all_counters);
-  c
+let counter ?(mode = `Sum) ?(live = false) name =
+  find_or_add counters name (fun () ->
+      let rec c =
+        lazy
+          {
+            c_mode = mode;
+            c_gate = (if live then always else enabled_flag);
+            c_lock = Mutex.create ();
+            c_cells = [];
+            c_key =
+              Domain.DLS.new_key (fun () ->
+                  let cell = ref 0 in
+                  let c = Lazy.force c in
+                  Mutex.protect c.c_lock (fun () ->
+                      c.c_cells <- cell :: c.c_cells);
+                  cell);
+          }
+      in
+      Lazy.force c)
 
-let incr c = if enabled () then Stdlib.incr (Domain.DLS.get c.c_key)
+let incr c = if Atomic.get c.c_gate then Stdlib.incr (Domain.DLS.get c.c_key)
 
 let add c n =
-  if enabled () then begin
+  if Atomic.get c.c_gate then begin
     let cell = Domain.DLS.get c.c_key in
     cell := !cell + n
   end
 
 let record_max c n =
-  if enabled () then begin
+  if Atomic.get c.c_gate then begin
     let cell = Domain.DLS.get c.c_key in
     if n > !cell then cell := n
   end
@@ -284,14 +307,125 @@ let value c =
       | `Sum -> List.fold_left (fun acc cell -> acc + !cell) 0 c.c_cells
       | `Max -> List.fold_left (fun acc cell -> max acc !cell) 0 c.c_cells)
 
-(* ------------------------------------------------------------------ *)
 (* Gauges *)
 
-let gauges_lock = Mutex.create ()
 let gauges : (string, float) Hashtbl.t = Hashtbl.create 32
 
 let set_gauge name v =
-  Mutex.protect gauges_lock (fun () -> Hashtbl.replace gauges name v)
+  Mutex.protect table_lock (fun () -> Hashtbl.replace gauges name v)
+
+(* Histograms: 25 log2 buckets starting at 10 µs, plus one overflow
+   bucket, each an atomic cell shared by all domains. *)
+
+let nbuckets = 25
+let base_ns = 10_000
+
+type histogram = {
+  cells : int Atomic.t array;  (* nbuckets + 1, last = overflow *)
+  sum_ns : int Atomic.t;
+  max_ns : int Atomic.t;
+}
+
+let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
+
+let histogram name =
+  find_or_add histograms name (fun () ->
+      {
+        cells = Array.init (nbuckets + 1) (fun _ -> Atomic.make 0);
+        sum_ns = Atomic.make 0;
+        max_ns = Atomic.make 0;
+      })
+
+let bucket_of_ns ns =
+  let rec go i bound =
+    if i >= nbuckets then nbuckets
+    else if ns <= bound then i
+    else go (i + 1) (bound * 2)
+  in
+  go 0 base_ns
+
+let bucket_bound_ns i = base_ns * (1 lsl i)
+
+let rec atomic_max cell v =
+  let cur = Atomic.get cell in
+  if v <= cur then ()
+  else if Atomic.compare_and_set cell cur v then ()
+  else atomic_max cell v
+
+let observe_ns h ns =
+  let ns = max 0 ns in
+  Atomic.incr h.cells.(bucket_of_ns ns);
+  ignore (Atomic.fetch_and_add h.sum_ns ns);
+  atomic_max h.max_ns ns
+
+type histogram_view = {
+  h_name : string;
+  h_count : int;
+  h_sum_ms : float;
+  h_p50_ms : float;
+  h_p90_ms : float;
+  h_p99_ms : float;
+  h_max_ms : float;
+  h_buckets : int array;  (* nbuckets + 1 raw (non-cumulative) counts *)
+  h_sum_ns : int;
+}
+
+let ms_of_ns ns = float_of_int ns /. 1e6
+
+(* Quantile = upper bound of the first bucket whose cumulative count
+   reaches q × total; the overflow bucket reports the observed max. *)
+let quantile counts total q =
+  let target = int_of_float (ceil (q *. float_of_int total)) in
+  let rec go i acc =
+    if i > nbuckets then nbuckets
+    else
+      let acc = acc + counts.(i) in
+      if acc >= target then i else go (i + 1) acc
+  in
+  go 0 0
+
+let view name h =
+  let counts = Array.map Atomic.get h.cells in
+  let total = Array.fold_left ( + ) 0 counts in
+  let max_ms = ms_of_ns (Atomic.get h.max_ns) in
+  let q p =
+    if total = 0 then 0.
+    else
+      let b = quantile counts total p in
+      if b >= nbuckets then max_ms else ms_of_ns (bucket_bound_ns b)
+  in
+  {
+    h_name = name;
+    h_count = total;
+    h_sum_ms = ms_of_ns (Atomic.get h.sum_ns);
+    h_p50_ms = q 0.50;
+    h_p90_ms = q 0.90;
+    h_p99_ms = q 0.99;
+    h_max_ms = max_ms;
+    h_buckets = counts;
+    h_sum_ns = Atomic.get h.sum_ns;
+  }
+
+type instruments = {
+  in_counters : (string * int) list;
+  in_gauges : (string * float) list;
+  in_histograms : histogram_view list;
+}
+
+let instruments () =
+  let sums, peaks =
+    List.partition (fun (_, c) -> c.c_mode = `Sum) (sorted_bindings counters)
+  in
+  {
+    in_counters = List.map (fun (name, c) -> name, value c) sums;
+    in_gauges =
+      List.merge
+        (fun (a, _) (b, _) -> String.compare a b)
+        (List.map (fun (name, c) -> name, float_of_int (value c)) peaks)
+        (sorted_bindings gauges);
+    in_histograms =
+      List.map (fun (name, h) -> view name h) (sorted_bindings histograms);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / reset *)
@@ -337,26 +471,7 @@ let snapshot () =
     (fun b ->
       Hashtbl.iter
         (fun label (c : rcell) ->
-          let m =
-            match Hashtbl.find_opt merged label with
-            | Some m -> m
-            | None ->
-              let m =
-                {
-                  rc_fires = 0;
-                  rc_rw_self = 0;
-                  rc_rw_total = 0;
-                  rc_cond_evals = 0;
-                  rc_cond_self = 0;
-                  rc_cond_total = 0;
-                  rc_match_tries = 0;
-                  rc_match_self = 0;
-                  rc_match_total = 0;
-                }
-              in
-              Hashtbl.add merged label m;
-              m
-          in
+          let m = rcell_in merged label in
           m.rc_fires <- m.rc_fires + c.rc_fires;
           m.rc_rw_self <- m.rc_rw_self + c.rc_rw_self;
           m.rc_rw_total <- m.rc_rw_total + c.rc_rw_total;
@@ -386,21 +501,12 @@ let snapshot () =
         :: acc)
       merged []
   in
-  let counters =
-    Mutex.protect counters_lock (fun () -> !all_counters)
-    |> List.map (fun c -> c.c_name, value c)
-    |> List.sort_uniq compare
-  in
-  let gauges =
-    Mutex.protect gauges_lock (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges [])
-    |> List.sort compare
-  in
   {
     sn_spans = spans;
     sn_rules = rules;
-    sn_counters = counters;
-    sn_gauges = gauges;
+    sn_counters =
+      List.map (fun (name, c) -> name, value c) (sorted_bindings counters);
+    sn_gauges = sorted_bindings gauges;
     sn_dropped = List.fold_left (fun acc b -> acc + b.db_dropped) 0 bufs;
     sn_dropped_by_dom =
       (* group-sum per domain: a domain id appears once even if several
@@ -430,8 +536,9 @@ let reset () =
       Hashtbl.reset b.db_rules)
     bufs;
   List.iter
-    (fun c ->
-      Mutex.protect c.c_lock (fun () ->
-          List.iter (fun cell -> cell := 0) c.c_cells))
-    (Mutex.protect counters_lock (fun () -> !all_counters));
-  Mutex.protect gauges_lock (fun () -> Hashtbl.reset gauges)
+    (fun (_, c) ->
+      if c.c_gate != always then
+        Mutex.protect c.c_lock (fun () ->
+            List.iter (fun cell -> cell := 0) c.c_cells))
+    (sorted_bindings counters);
+  Mutex.protect table_lock (fun () -> Hashtbl.reset gauges)

@@ -1,14 +1,18 @@
-(** Structured runtime telemetry: spans, counters and per-rule profiles.
+(** Structured runtime telemetry: spans, per-rule profiles and the one
+    registry of counters, gauges and histograms.
 
     The verification stack is instrumented at four altitudes — proof score,
     proof case, [red] (one normalization), rule application — plus a set of
-    engine counters (AC-matcher backtracks, sched-pool steals, …).  All
+    engine counters (AC-matcher backtracks, sched-pool steals, …) and the
+    resident server's operational counters and latency histograms.  All
     recording funnels through this module:
 
-    - {b zero-cost when disabled}: every probe is guarded by one load of an
-      atomic flag; with the flag off the instrumented code paths are the
-      un-instrumented ones plus a single branch.  The differential suite
-      asserts byte-identical normal forms and step counts either way.
+    - {b one branch when disabled}: spans and profiling-only counters are
+      guarded by one load of an atomic flag; with the flag off the
+      instrumented code paths are the un-instrumented ones plus a single
+      branch.  The differential suite asserts byte-identical normal forms
+      and step counts either way.  Live counters and histograms always
+      count.
     - {b domain-safe and contention-free}: each domain records into its own
       buffer (spans, rule profiles) or its own counter cell, discovered
       through [Domain.DLS]; nothing is shared on the hot path.  Buffers are
@@ -17,7 +21,8 @@
       ([CLOCK_MONOTONIC], nanoseconds), never from wall-clock time.
 
     {!snapshot} and {!reset} assume quiescence (no domain actively
-    recording): take them after pool work has settled, as the CLIs do. *)
+    recording): take them after pool work has settled, as the CLIs do.
+    {!instruments} reads no span buffer and may be taken at any time. *)
 
 (** [set_enabled b] turns recording on or off, globally (all domains). *)
 val set_enabled : bool -> unit
@@ -79,13 +84,21 @@ val with_request : string option -> (unit -> 'a) -> 'a
     A counter owns one cell per domain (created on first use through
     [Domain.DLS]); increments are plain stores to the local cell, and
     {!value} merges the cells — by sum ([`Sum], default) or maximum
-    ([`Max]).  All mutating operations are no-ops while disabled. *)
+    ([`Max]).
+
+    A counter is either {e profiling-only} (the default: every mutating
+    operation is a no-op while recording is disabled, and {!reset} clears
+    it) or {e live} ([~live:true]: it always counts and {!reset} leaves
+    it alone — the operational counters of a long-lived process).  Both
+    kinds cost one branch before the store. *)
 
 type counter
 
-(** [counter ?mode name] registers a counter.  Call at module
-    initialization time, once per name. *)
-val counter : ?mode:[ `Sum | `Max ] -> string -> counter
+(** [counter ?mode ?live name] finds the counter registered under [name],
+    or registers one with [mode] (default [`Sum]) and [live] (default
+    [false]).  A name names one counter: the first registration fixes its
+    mode and liveness. *)
+val counter : ?mode:[ `Sum | `Max ] -> ?live:bool -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -99,11 +112,69 @@ val value : counter -> int
 (** {1 Gauges}
 
     Point-in-time values sampled by the reporting layer (memo hit rates,
-    intern-table occupancy, pool utilization).  Unlike counters, gauges are
-    set unconditionally — they are written at flush time, not on hot
-    paths. *)
+    intern-table occupancy, pool utilization, server queue depth).  Unlike
+    counters, gauges are set unconditionally — they are written at flush or
+    export time, not on hot paths. *)
 
 val set_gauge : string -> float -> unit
+
+(** {1 Histograms}
+
+    Log-bucketed latency histograms, always recording: bucket [i] counts
+    observations of at most [10 µs × 2^i] (25 buckets, so the top bucket
+    covers ~167 s; larger observations land in an overflow bucket).
+    Quantiles are upper-bound approximations (the bucket boundary), which
+    is the standard trade for lock-free recording.  {!reset} leaves them
+    alone. *)
+
+type histogram
+
+(** [histogram name] finds or registers the histogram called [name]. *)
+val histogram : string -> histogram
+
+val observe_ns : histogram -> int -> unit
+
+(** Number of bounded buckets; one overflow bucket follows. *)
+val nbuckets : int
+
+(** [bucket_bound_ns i] is the inclusive upper bound of bucket [i]
+    ([10 µs × 2^i]); observations [<= bound] land in the first such
+    bucket. *)
+val bucket_bound_ns : int -> int
+
+(** [bucket_of_ns ns] is the index ([0 .. nbuckets]) an observation of
+    [ns] lands in; [nbuckets] is the overflow bucket. *)
+val bucket_of_ns : int -> int
+
+type histogram_view = {
+  h_name : string;
+  h_count : int;
+  h_sum_ms : float;
+  h_p50_ms : float;
+  h_p90_ms : float;
+  h_p99_ms : float;
+  h_max_ms : float;
+  h_buckets : int array;
+      (** raw (non-cumulative) per-bucket counts, [nbuckets + 1] long,
+          last = overflow *)
+  h_sum_ns : int;  (** exact sum, for loss-free export *)
+}
+
+(** {1 Reading the instruments}
+
+    The counters, gauges and histograms without the span buffers: safe to
+    take while domains record, which is what the daemon's [metrics] reply
+    and [GET /metrics] need. *)
+
+type instruments = {
+  in_counters : (string * int) list;  (** [`Sum] counters, sorted by name *)
+  in_gauges : (string * float) list;
+      (** gauges and [`Max] counters (a peak is a level, not a count),
+          sorted by name *)
+  in_histograms : histogram_view list;  (** sorted by name *)
+}
+
+val instruments : unit -> instruments
 
 (** {1 Per-rule profiling}
 
@@ -161,7 +232,8 @@ type rule_stat = {
 type snapshot = {
   sn_spans : span list;  (** all domains, sorted by start time *)
   sn_rules : rule_stat list;  (** merged across domains, unsorted *)
-  sn_counters : (string * int) list;  (** sorted by name *)
+  sn_counters : (string * int) list;
+      (** every counter, [`Sum] and [`Max], live or not; sorted by name *)
   sn_gauges : (string * float) list;  (** sorted by name *)
   sn_dropped : int;  (** spans lost to the per-domain buffer cap *)
   sn_dropped_by_dom : (int * int) list;
@@ -172,6 +244,7 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 
-(** [reset ()] clears every buffer, counter cell and gauge (the enabled
-    flag and minimum-duration threshold are left as they are). *)
+(** [reset ()] clears every span buffer, profiling-only counter and gauge
+    (live counters, histograms, the enabled flag and the minimum-duration
+    threshold are left as they are). *)
 val reset : unit -> unit

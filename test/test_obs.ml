@@ -1,11 +1,11 @@
-(* The observability layer in isolation: Metrics histogram edge cases
+(* The observability layer in isolation: Probe histogram edge cases
    (zero-observation export, log2 bucket boundaries, merge across
-   domains), the OpenMetrics renderer over hand-built snapshots, the
-   minimal HTTP codec, the structured event log and the flight
-   recorder.  Everything here is pure or file-local — the live daemon
-   surfaces are exercised in [Test_server]. *)
+   domains), the OpenMetrics renderer over hand-built and live
+   instruments, the minimal HTTP codec, the structured event log and the
+   flight recorder.  Everything here is pure or file-local — the live
+   daemon surfaces are exercised in [Test_server]. *)
 
-module Metrics = Telemetry.Metrics
+module Probe = Telemetry.Probe
 module Obs = Telemetry.Obs
 module Log = Telemetry.Log
 module Flight = Telemetry.Flight
@@ -25,27 +25,27 @@ let count_occurrences ~needle hay =
   if nl = 0 then 0 else go 0 0
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: bucket geometry *)
+(* Histograms: bucket geometry *)
 
 let prop_bucket_boundaries =
   QCheck.Test.make ~name:"log2 bucket boundaries are exact and inclusive"
     ~count:200
-    (QCheck.make QCheck.Gen.(int_bound (Metrics.nbuckets - 1)))
+    (QCheck.make QCheck.Gen.(int_bound (Probe.nbuckets - 1)))
     (fun i ->
-      let bound = Metrics.bucket_bound_ns i in
-      Metrics.bucket_of_ns bound = i
-      && Metrics.bucket_of_ns (bound + 1) = i + 1
-      && (i = 0 || Metrics.bucket_of_ns (Metrics.bucket_bound_ns (i - 1) + 1) = i))
+      let bound = Probe.bucket_bound_ns i in
+      Probe.bucket_of_ns bound = i
+      && Probe.bucket_of_ns (bound + 1) = i + 1
+      && (i = 0 || Probe.bucket_of_ns (Probe.bucket_bound_ns (i - 1) + 1) = i))
 
 let test_bucket_edges () =
   Alcotest.(check int) "zero lands in the first bucket" 0
-    (Metrics.bucket_of_ns 0);
+    (Probe.bucket_of_ns 0);
   Alcotest.(check int) "negative clamps to the first bucket" 0
-    (Metrics.bucket_of_ns (-1));
-  Alcotest.(check int) "beyond the last bound is overflow" Metrics.nbuckets
-    (Metrics.bucket_of_ns (Metrics.bucket_bound_ns (Metrics.nbuckets - 1) + 1));
-  Alcotest.(check int) "max_int is overflow" Metrics.nbuckets
-    (Metrics.bucket_of_ns max_int)
+    (Probe.bucket_of_ns (-1));
+  Alcotest.(check int) "beyond the last bound is overflow" Probe.nbuckets
+    (Probe.bucket_of_ns (Probe.bucket_bound_ns (Probe.nbuckets - 1) + 1));
+  Alcotest.(check int) "max_int is overflow" Probe.nbuckets
+    (Probe.bucket_of_ns max_int)
 
 (* Observations split across domains must merge to the same view as the
    same observations recorded by one domain: snapshot merging is a plain
@@ -59,38 +59,38 @@ let prop_merge_across_domains =
     (fun raw ->
       incr merge_uid;
       let split =
-        Metrics.histogram (Printf.sprintf "obst.merge%d.split" !merge_uid)
+        Probe.histogram (Printf.sprintf "obst.merge%d.split" !merge_uid)
       in
       let whole =
-        Metrics.histogram (Printf.sprintf "obst.merge%d.whole" !merge_uid)
+        Probe.histogram (Printf.sprintf "obst.merge%d.whole" !merge_uid)
       in
       let ns = List.map (fun x -> (x * 7919) + 1) raw in
       let evens = List.filteri (fun i _ -> i mod 2 = 0) ns in
       let odds = List.filteri (fun i _ -> i mod 2 = 1) ns in
-      let d1 = Domain.spawn (fun () -> List.iter (Metrics.observe_ns split) evens) in
-      let d2 = Domain.spawn (fun () -> List.iter (Metrics.observe_ns split) odds) in
+      let d1 = Domain.spawn (fun () -> List.iter (Probe.observe_ns split) evens) in
+      let d2 = Domain.spawn (fun () -> List.iter (Probe.observe_ns split) odds) in
       Domain.join d1;
       Domain.join d2;
-      List.iter (Metrics.observe_ns whole) ns;
-      let snap = Metrics.snapshot () in
+      List.iter (Probe.observe_ns whole) ns;
+      let snap = Probe.instruments () in
       let view name =
         List.find
-          (fun v -> v.Metrics.h_name = name)
-          snap.Metrics.m_histograms
+          (fun v -> v.Probe.h_name = name)
+          snap.Probe.in_histograms
       in
       let a = view (Printf.sprintf "obst.merge%d.split" !merge_uid) in
       let b = view (Printf.sprintf "obst.merge%d.whole" !merge_uid) in
-      a.Metrics.h_buckets = b.Metrics.h_buckets
-      && a.Metrics.h_count = b.Metrics.h_count
-      && a.Metrics.h_sum_ns = b.Metrics.h_sum_ns)
+      a.Probe.h_buckets = b.Probe.h_buckets
+      && a.Probe.h_count = b.Probe.h_count
+      && a.Probe.h_sum_ns = b.Probe.h_sum_ns)
 
 (* ------------------------------------------------------------------ *)
-(* OpenMetrics renderer over hand-built snapshots *)
+(* OpenMetrics renderer over hand-built instruments *)
 
 let hist name buckets sum_ns =
   let count = Array.fold_left ( + ) 0 buckets in
   {
-    Metrics.h_name = name;
+    Probe.h_name = name;
     h_count = count;
     h_sum_ms = float_of_int sum_ns /. 1e6;
     h_p50_ms = 0.;
@@ -102,15 +102,15 @@ let hist name buckets sum_ns =
   }
 
 let empty_snap =
-  { Metrics.m_counters = []; m_gauges = []; m_histograms = [] }
+  { Probe.in_counters = []; in_gauges = []; in_histograms = [] }
 
 let test_render_counters_gauges () =
   let out =
     Obs.render_openmetrics
       {
         empty_snap with
-        Metrics.m_counters = [ "server.requests", 3 ];
-        m_gauges = [ "server.queue_depth", 1.5 ];
+        Probe.in_counters = [ "server.requests", 3 ];
+        in_gauges = [ "server.queue_depth", 1.5 ];
       }
   in
   Alcotest.(check bool) "counter family + sample" true
@@ -126,15 +126,15 @@ let test_render_zero_observation_histogram () =
   (* a registered histogram that was never observed must still export a
      complete, schema-valid family: every cumulative bucket 0, count 0,
      sum 0 — not be dropped, and not divide by zero anywhere *)
-  let buckets = Array.make (Metrics.nbuckets + 1) 0 in
+  let buckets = Array.make (Probe.nbuckets + 1) 0 in
   let out =
     Obs.render_openmetrics
-      { empty_snap with Metrics.m_histograms = [ hist "idle.lat" buckets 0 ] }
+      { empty_snap with Probe.in_histograms = [ hist "idle.lat" buckets 0 ] }
   in
   Alcotest.(check bool) "family present" true
     (contains ~needle:"# TYPE idle_lat_seconds histogram" out);
   Alcotest.(check int) "all buckets exported"
-    (Metrics.nbuckets + 1)
+    (Probe.nbuckets + 1)
     (count_occurrences ~needle:"idle_lat_seconds_bucket{le=" out);
   Alcotest.(check bool) "+Inf bucket zero" true
     (contains ~needle:"idle_lat_seconds_bucket{le=\"+Inf\"} 0\n" out);
@@ -144,13 +144,13 @@ let test_render_zero_observation_histogram () =
     (contains ~needle:"idle_lat_seconds_sum 0\n" out)
 
 let test_render_histogram_cumulative () =
-  let buckets = Array.make (Metrics.nbuckets + 1) 0 in
+  let buckets = Array.make (Probe.nbuckets + 1) 0 in
   buckets.(0) <- 2;
   buckets.(2) <- 1;
-  buckets.(Metrics.nbuckets) <- 1;
+  buckets.(Probe.nbuckets) <- 1;
   let out =
     Obs.render_openmetrics
-      { empty_snap with Metrics.m_histograms = [ hist "lat" buckets 40_000 ] }
+      { empty_snap with Probe.in_histograms = [ hist "lat" buckets 40_000 ] }
   in
   (* bucket 0's bound is 10 µs = 1e-05 s; buckets are cumulative *)
   Alcotest.(check bool) "first bucket" true
@@ -165,14 +165,14 @@ let test_render_histogram_cumulative () =
     (contains ~needle:"lat_seconds_count 4\n" out)
 
 let test_render_labeled_grouping () =
-  let buckets = Array.make (Metrics.nbuckets + 1) 0 in
+  let buckets = Array.make (Probe.nbuckets + 1) 0 in
   buckets.(0) <- 1;
   let out =
     Obs.render_openmetrics
       ~labeled:[ "server.request_latency", "type" ]
       {
         empty_snap with
-        Metrics.m_histograms =
+        Probe.in_histograms =
           [
             hist "server.request_latency" buckets 5_000;
             hist "server.request_latency.verify" buckets 5_000;
@@ -198,6 +198,36 @@ let test_sanitize_name () =
     (Obs.sanitize_name "9lives");
   Alcotest.(check string) "hostile charset collapses" "a_b_c_d"
     (Obs.sanitize_name "a-b c{d")
+
+(* The exposition reads the one registry: profiling-only counters (the
+   kernel's and the scheduler's kind) are exported next to the live
+   server counters, and a [`Max] counter is a level, so it is a gauge. *)
+let test_render_profiling_counter () =
+  let c = Probe.counter "obst.profiled" in
+  Probe.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Probe.set_enabled false)
+    (fun () -> Probe.add c 3);
+  let out = Obs.render_openmetrics (Probe.instruments ()) in
+  Alcotest.(check bool) "profiling counter exported" true
+    (contains
+       ~needle:
+         (Printf.sprintf
+            "# TYPE obst_profiled counter\nobst_profiled_total %d\n"
+            (Probe.value c))
+       out)
+
+let test_render_max_counter_as_gauge () =
+  let c = Probe.counter ~mode:`Max ~live:true "obst.peak" in
+  Probe.record_max c 7;
+  Probe.record_max c 5;
+  let out = Obs.render_openmetrics (Probe.instruments ()) in
+  Alcotest.(check bool) "peak is a gauge family" true
+    (contains ~needle:"# TYPE obst_peak gauge\nobst_peak 7\n" out);
+  Alcotest.(check bool) "no _total sample for a peak" false
+    (contains ~needle:"obst_peak_total" out);
+  Alcotest.(check bool) "the scheduler's peak is a gauge too" true
+    (contains ~needle:"# TYPE sched_queue_depth_peak gauge\n" out)
 
 (* ------------------------------------------------------------------ *)
 (* HTTP codec *)
@@ -418,6 +448,10 @@ let tests =
         test_render_histogram_cumulative;
       Alcotest.test_case "render: labeled family grouping" `Quick
         test_render_labeled_grouping;
+      Alcotest.test_case "render: profiling counters are exported" `Quick
+        test_render_profiling_counter;
+      Alcotest.test_case "render: a Max counter is a gauge" `Quick
+        test_render_max_counter_as_gauge;
       Alcotest.test_case "metric name sanitization" `Quick test_sanitize_name;
       Alcotest.test_case "http: request parsing" `Quick test_http_parse;
       Alcotest.test_case "http: response building" `Quick test_http_response;

@@ -252,6 +252,72 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "counter untouched" 0 (Probe.value c);
   Alcotest.(check int) "no rule stats" 0 (List.length snap.Probe.sn_rules)
 
+(* ------------------------------------------------------------------ *)
+(* One instrument registry *)
+
+let test_one_name_one_counter () =
+  let a = Probe.counter "test.registry.once" in
+  let b = Probe.counter "test.registry.once" in
+  Probe.set_enabled true;
+  Probe.incr a;
+  Probe.set_enabled false;
+  Alcotest.(check (list (pair string int)))
+    "one entry, one count"
+    [ "test.registry.once", 1 ]
+    (List.filter
+       (fun (name, _) -> name = "test.registry.once")
+       (Probe.snapshot ()).Probe.sn_counters);
+  Alcotest.(check int)
+    "the second handle reads the same cells" 1 (Probe.value b)
+
+let test_live_and_profiling_counters () =
+  let prof = Probe.counter "test.registry.profiling" in
+  let live = Probe.counter ~live:true "test.registry.live" in
+  let h = Probe.histogram "test.registry.latency" in
+  let observed () =
+    match
+      List.find_opt
+        (fun (v : Probe.histogram_view) ->
+          v.Probe.h_name = "test.registry.latency")
+        (Probe.instruments ()).Probe.in_histograms
+    with
+    | Some v -> v.Probe.h_count
+    | None -> 0
+  in
+  (* live instruments outlive earlier tests' resets: compare to a baseline *)
+  let live0 = Probe.value live and observed0 = observed () in
+  Probe.incr prof;
+  Probe.incr live;
+  Probe.observe_ns h 1_000;
+  Alcotest.(check int) "profiling counter still while recording is off" 0
+    (Probe.value prof);
+  Alcotest.(check int) "live counter counts while recording is off" (live0 + 1)
+    (Probe.value live);
+  Probe.set_enabled true;
+  Probe.incr prof;
+  Probe.set_enabled false;
+  Alcotest.(check int) "profiling counter counts while recording" 1
+    (Probe.value prof);
+  Probe.reset ();
+  Alcotest.(check int)
+    "reset clears the profiling counter" 0 (Probe.value prof);
+  Alcotest.(check int) "reset leaves the live counter" (live0 + 1)
+    (Probe.value live);
+  Alcotest.(check int)
+    "reset leaves the histogram" (observed0 + 1) (observed ());
+  (* the hotspot report reads the snapshot, so live counters reach it *)
+  let snap = Probe.snapshot () in
+  Alcotest.(check (option int))
+    "live counter in the snapshot" (Some (live0 + 1))
+    (List.assoc_opt "test.registry.live" snap.Probe.sn_counters);
+  let report = Format.asprintf "%a" (Telemetry.Hotspot.pp ~top:1) snap in
+  let needle = "test.registry.live" in
+  let rec has i =
+    i + String.length needle <= String.length report
+    && (String.sub report i (String.length needle) = needle || has (i + 1))
+  in
+  Alcotest.(check bool) "live counter in the hotspot report" true (has 0)
+
 let suite =
   ( "telemetry",
     [
@@ -266,4 +332,8 @@ let suite =
         (scrubbed test_rule_stats_vs_steps);
       Alcotest.test_case "disabled records nothing" `Quick
         (scrubbed test_disabled_records_nothing);
+      Alcotest.test_case "one name registers one counter" `Quick
+        (scrubbed test_one_name_one_counter);
+      Alcotest.test_case "live and profiling-only counters" `Quick
+        (scrubbed test_live_and_profiling_counters);
     ] )
