@@ -13,6 +13,10 @@ open Kernel
 
 let section name = Format.printf "@.== %s ==@." name
 
+let median l =
+  let a = List.sort compare l in
+  List.nth a (List.length a / 2)
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable report (--json): one record per timed experiment.
    [rec_steps]/[rec_splits] are 0 where the notion does not apply (model
@@ -759,24 +763,26 @@ let report ~pool () =
    in
    let sys = Cafeobj.Spec.system (Tls.Model.spec Tls.Model.Original) in
    let goal = Tls.Data.in_cpms pms nwt in
-   let reps = 50 in
-   let time f =
-     f ();
-     let t0 = Unix.gettimeofday () in
-     for _ = 1 to reps do
-       f ()
-     done;
-     (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int reps
-   in
    let red () =
      Rewrite.clear_cache sys;
      ignore (Rewrite.normalize sys goal)
    in
-   Rewrite.set_indexing sys false;
-   let linear = time red in
-   Rewrite.set_indexing sys true;
+   (* The arms alternate, round by round, and each reports its median
+      round (ms per red): load that comes and goes on the machine then
+      moves a round of each arm alike instead of one whole arm. *)
+   let rounds = 11 and reps = 10 in
+   let round indexing =
+     Rewrite.set_indexing sys indexing;
+     let t0 = Unix.gettimeofday () in
+     for _ = 1 to reps do
+       red ()
+     done;
+     (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int reps
+   in
+   List.iter (fun indexing -> Rewrite.set_indexing sys indexing; red ()) [ false; true ];
    Index.reset_stats ();
-   let indexed = time red in
+   let arms = List.init rounds (fun _ -> let l = round false in (l, round true)) in
+   let linear = median (List.map fst arms) and indexed = median (List.map snd arms) in
    let st = Index.stats () in
    let considered = st.Index.hits + st.Index.filtered in
    red_linear_ms := linear;
@@ -906,10 +912,6 @@ let report ~pool () =
           with _ -> ());
          Domain.join d)
        (fun () -> f socket)
-   in
-   let median l =
-     let a = List.sort compare l in
-     List.nth a (List.length a / 2)
    in
    let warm_median ?id socket ~reps =
      let req =

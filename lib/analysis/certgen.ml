@@ -7,19 +7,47 @@
 open Kernel
 module C = Certify.Cert
 
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
+(* Tables keyed by physical identity, each hashing fields that spread:
+   an op by its creation index, a rule or an applied derivation by the
+   ids of the two terms it relates. *)
+module Phys (H : sig
+  type t
+
+  val hash : t -> int
+end) =
+Hashtbl.Make (struct
+  include H
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+end)
+
+let mix2 a b = (Term.id_hash a * 31) + Term.id_hash b
+
+module Op_phys = Phys (struct
+  type t = Signature.op
+
+  let hash (o : t) = o.Signature.index
+end)
+
+module Rule_phys = Phys (struct
+  type t = Rewrite.rule
+
+  let hash (r : t) = mix2 r.Rewrite.lhs r.Rewrite.rhs
+end)
+
+module Dapp_phys = Phys (struct
+  type t = Rewrite.deriv
+
+  let hash (d : t) = mix2 d.Rewrite.d_in d.Rewrite.d_out
 end)
 
 type t = {
-  ops : C.op Phys.t;  (* engine op -> cert op *)
+  ops : C.op Op_phys.t;  (* engine op -> cert op *)
   terms : C.term Term.Tbl.t;  (* structural: equal engine terms share one cert term *)
-  rules : C.rule Phys.t;  (* engine rule -> cert rule *)
+  rules : C.rule Rule_phys.t;  (* engine rule -> cert rule *)
   rsets : (int, C.rset) Hashtbl.t;  (* sys uid -> cert rule set *)
-  derivs : C.deriv Phys.t;  (* engine deriv node -> cert deriv (keeps DAG sharing) *)
+  trivs : C.deriv Term.Tbl.t;  (* a zero-step derivation is determined by its term *)
+  derivs : C.deriv Dapp_phys.t;  (* engine app node -> cert deriv (keeps DAG sharing) *)
   mutable reds : C.red list;  (* reversed *)
   mutable next_red : int;
   mutable lpo : C.lpo option;
@@ -28,11 +56,12 @@ type t = {
 
 let create () =
   {
-    ops = Phys.create 256;
+    ops = Op_phys.create 256;
     terms = Term.Tbl.create 4096;
-    rules = Phys.create 256;
+    rules = Rule_phys.create 256;
     rsets = Hashtbl.create 16;
-    derivs = Phys.create 4096;
+    trivs = Term.Tbl.create 4096;
+    derivs = Dapp_phys.create 4096;
     reds = [];
     next_red = 0;
     lpo = None;
@@ -58,7 +87,7 @@ let flags_of (o : Signature.op) =
     ]
 
 let op b (o : Signature.op) =
-  match Phys.find_opt b.ops (Obj.repr o) with
+  match Op_phys.find_opt b.ops o with
   | Some co -> co
   | None ->
     let co =
@@ -69,7 +98,7 @@ let op b (o : Signature.op) =
         op_flags = flags_of o;
       }
     in
-    Phys.replace b.ops (Obj.repr o) co;
+    Op_phys.replace b.ops o co;
     co
 
 let rec term b (t : Term.t) =
@@ -85,7 +114,7 @@ let rec term b (t : Term.t) =
     ct
 
 let rule b (r : Rewrite.rule) =
-  match Phys.find_opt b.rules (Obj.repr r) with
+  match Rule_phys.find_opt b.rules r with
   | Some cr -> cr
   | None ->
     let cr =
@@ -96,7 +125,7 @@ let rule b (r : Rewrite.rule) =
         r_cond = Option.map (term b) r.Rewrite.cond;
       }
     in
-    Phys.replace b.rules (Obj.repr r) cr;
+    Rule_phys.replace b.rules r cr;
     cr
 
 let rec rset b (si : Rewrite.sys_info) =
@@ -118,13 +147,20 @@ let sub_bindings b (s : Subst.t) =
     (Subst.bindings s)
 
 let rec deriv b (d : Rewrite.deriv) =
-  match Phys.find_opt b.derivs (Obj.repr d) with
-  | Some cd -> cd
-  | None ->
-    let node =
-      match d.Rewrite.d_node with
-      | Rewrite.Triv -> C.Triv
-      | Rewrite.Dapp { children; perm; step } ->
+  match d.Rewrite.d_node with
+  | Rewrite.Triv -> (
+    match Term.Tbl.find_opt b.trivs d.Rewrite.d_in with
+    | Some cd -> cd
+    | None ->
+      let t = term b d.Rewrite.d_in in
+      let cd = C.deriv ~d_in:t ~d_out:t C.Triv in
+      Term.Tbl.replace b.trivs d.Rewrite.d_in cd;
+      cd)
+  | Rewrite.Dapp { children; perm; step } -> (
+    match Dapp_phys.find_opt b.derivs d with
+    | Some cd -> cd
+    | None ->
+      let node =
         C.App
           {
             children = List.map (deriv b) children;
@@ -140,10 +176,10 @@ let rec deriv b (d : Rewrite.deriv) =
                   })
                 step;
           }
-    in
-    let cd = C.deriv ~d_in:(term b d.Rewrite.d_in) ~d_out:(term b d.Rewrite.d_out) node in
-    Phys.replace b.derivs (Obj.repr d) cd;
-    cd
+      in
+      let cd = C.deriv ~d_in:(term b d.Rewrite.d_in) ~d_out:(term b d.Rewrite.d_out) node in
+      Dapp_phys.replace b.derivs d cd;
+      cd)
 
 let add_obligation b (ob : Rewrite.obligation) =
   let n = b.next_red in

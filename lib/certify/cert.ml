@@ -1,13 +1,14 @@
-(* Certificate AST + S-expression (de)serialization.  See the .mli for the
+(* Certificate AST and its one-pass codec.  See the .mli for the
    documented grammar.  The encoder hash-conses every node (ops, terms,
-   rules, rule sets, derivations) into id-indexed tables, so certificates
-   are DAG-compact regardless of how much sharing the producer achieved.
-   Each physically distinct node is walked once: derivations are memoized
-   by their [d_id], terms, rules and rule sets by physical identity, so a
-   rule is interned once, not once per step naming it.  Encoding is
-   therefore linear in the number of physically distinct nodes.  The
-   decoder only ever resolves ids that are already defined (references
-   point backwards), which makes cyclic certificates unrepresentable. *)
+   rules, rule sets, derivations) into id-indexed sections, writing each
+   entry into its section's text as soon as it gets its id, so
+   certificates are DAG-compact regardless of how much sharing the
+   producer achieved.  Each physically distinct node is walked once, so
+   encoding is linear in the number of physically distinct nodes.  The
+   decoder reads the text once through {!Sexp}'s reader, straight into
+   id-indexed stores, and only ever resolves ids that are already defined
+   (references point backwards), which makes cyclic certificates
+   unrepresentable.  Neither side builds an S-expression tree. *)
 
 type flag = Ac | Comm | Tt | Ff | Not | And | Or | Xor | Implies | Iff | If | Eq
 
@@ -70,58 +71,23 @@ let deriv ~d_in ~d_out d_node =
 (* ------------------------------------------------------------------ *)
 (* Flags *)
 
-let flag_name = function
-  | Ac -> "ac"
-  | Comm -> "comm"
-  | Tt -> "tt"
-  | Ff -> "ff"
-  | Not -> "not"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Implies -> "implies"
-  | Iff -> "iff"
-  | If -> "if"
-  | Eq -> "eq"
+let flag_names =
+  [ Ac, "ac"; Comm, "comm"; Tt, "tt"; Ff, "ff"; Not, "not"; And, "and"; Or, "or";
+    Xor, "xor"; Implies, "implies"; Iff, "iff"; If, "if"; Eq, "eq" ]
 
-let flag_of_name = function
-  | "ac" -> Some Ac
-  | "comm" -> Some Comm
-  | "tt" -> Some Tt
-  | "ff" -> Some Ff
-  | "not" -> Some Not
-  | "and" -> Some And
-  | "or" -> Some Or
-  | "xor" -> Some Xor
-  | "implies" -> Some Implies
-  | "iff" -> Some Iff
-  | "if" -> Some If
-  | "eq" -> Some Eq
-  | _ -> None
+let flag_name f = List.assoc f flag_names
+let flag_of_name s = List.find_map (fun (f, n) -> if n = s then Some f else None) flag_names
 
 (* ------------------------------------------------------------------ *)
-(* Encoding *)
+(* Memo tables keyed by physical identity *)
 
-(* Memo tables that cut DAG re-walks.  Terms and derivations share
-   subtrees, and a campaign's reds and joins name rule sets whose parent
-   chains all end in one flat base set of about a thousand rules; without
-   a rule-set memo every red and join re-walks its whole chain, and
-   without a rule memo every step re-interns its rule.
-
-   Derivations carry an id, so their memo is keyed by it.  Rules and rule
-   sets are keyed by physical identity.  So are terms, but [Hashtbl.hash]
-   of a term spends its bounded budget on the head [op] record, which
-   every term with that head shares; the term memo hashes operator and
-   variable names two levels deep instead. *)
-module Itbl = Hashtbl.Make (Int)
-
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
+(* [Hashtbl.hash] of a node spends its bounded budget on the first record
+   it meets: a term's head [op], which every term with that head shares,
+   or a rule's whole left-hand side.  So each table hashes a cheap field
+   that spreads: terms by operator and variable names two levels deep,
+   rules by label and the shape of their left-hand side, rule sets by
+   their first rule, derivations by their id.  The term hash allocates
+   nothing: it runs on every term lookup of the encoder and the checker. *)
 let rec shape_hash depth = function
   | V { v_name; _ } -> Hashtbl.hash v_name
   | A (o, args) ->
@@ -132,268 +98,278 @@ and mix_shapes depth h = function
   | [] -> h
   | a :: rest -> mix_shapes depth ((h * 65599) + shape_hash depth a) rest
 
-module Term_phys = Hashtbl.Make (struct
-  type t = term
+let rule_hash r = (Hashtbl.hash r.r_label * 65599) + shape_hash 1 r.r_lhs
 
-  let equal = ( == )
-  let hash = shape_hash 2
+module Phys (H : sig
+  type t
+
+  val hash : t -> int
+end) =
+struct
+  include Hashtbl.Make (struct
+    include H
+
+    let equal = ( == )
+  end)
+
+  (* [memo tbl x f] is [x]'s entry, made by [f x] on the first visit *)
+  let memo tbl x f =
+    match find tbl x with
+    | v -> v
+    | exception Not_found ->
+      let v = f x in
+      replace tbl x v;
+      v
+end
+
+module Term_phys = Phys (struct type t = term let hash = shape_hash 2 end)
+module Rule_phys = Phys (struct type t = rule let hash = rule_hash end)
+
+module Rset_phys = Phys (struct
+  type t = rset
+
+  let hash rs = match rs.rs_rules with r :: _ -> rule_hash r | [] -> 0
 end)
 
-type 'k interner = {
-  keys : ('k, int) Hashtbl.t;
-  mutable entries : Sexp.t list;  (** reversed *)
-  mutable next : int;
-}
+module Deriv_phys = Phys (struct type t = deriv let hash d = d.d_id end)
+module Op_phys = Phys (struct type t = op let hash o = Hashtbl.hash o.op_name end)
 
-let interner () = { keys = Hashtbl.create 256; entries = []; next = 0 }
+(* ------------------------------------------------------------------ *)
+(* Encoding *)
 
-let intern it key mk =
-  match Hashtbl.find_opt it.keys key with
-  | Some id -> id
-  | None ->
-    let id = it.next in
-    it.next <- id + 1;
-    Hashtbl.replace it.keys key id;
-    it.entries <- mk id :: it.entries;
+(* Splitmix64's finalizer, its multipliers cut to OCaml's 63-bit [int]. *)
+let mix x =
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+(* Content keys: int lists, strings entering through a numbering of their
+   own, hashed by mixing every element. *)
+module Key = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash k = List.fold_left (fun h x -> mix (h + x)) 0 k
+end)
+
+(* One id table of the certificate: a key seen for the first time gets the
+   next id, and its entry is written to [text] at once. *)
+type section = { ids : int Key.t; text : Buffer.t; mutable next : int }
+
+let section () = { ids = Key.create 1024; text = Buffer.create 65536; next = 0 }
+
+let intern sec key write =
+  match Key.find sec.ids key with
+  | id -> id
+  | exception Not_found ->
+    let id = sec.next in
+    sec.next <- id + 1;
+    Key.add sec.ids key id;
+    Buffer.add_char sec.text ' ';
+    write sec.text id;
     id
 
-let entries it = List.rev it.entries
+(* Writers: [ints] and [atoms] put a space before each element; [list]
+   writes a parenthesized list. *)
+let int b n = Buffer.add_string b (string_of_int n)
+let ints b = List.iter (fun n -> Buffer.add_char b ' '; int b n)
+let atoms b = List.iter (fun x -> Buffer.add_char b ' '; Sexp.add_atom b x)
 
-let atom_int n = Sexp.Atom (string_of_int n)
+let list b f xs =
+  Buffer.add_string b " (";
+  List.iteri (fun i x -> if i > 0 then Buffer.add_char b ' '; f b x) xs;
+  Buffer.add_char b ')'
 
-let to_sexp (cert : t) : Sexp.t =
-  let ops = interner () in
-  let terms = interner () in
-  let rules = interner () in
-  let rsets = interner () in
-  let derivs = interner () in
-  let term_phys : int Term_phys.t = Term_phys.create 4096 in
-  let rule_phys : int Phys.t = Phys.create 256 in
-  let rset_phys : int Phys.t = Phys.create 256 in
-  let deriv_memo : int Itbl.t = Itbl.create 4096 in
-  let op_id (o : op) =
-    intern ops
-      (o.op_name, o.op_arity, o.op_sort, o.op_flags)
-      (fun id ->
-        Sexp.List
-          ([
-             Sexp.Atom "op";
-             atom_int id;
-             Sexp.Atom o.op_name;
-             Sexp.List (List.map (fun s -> Sexp.Atom s) o.op_arity);
-             Sexp.Atom o.op_sort;
-           ]
-          @ List.map (fun f -> Sexp.Atom (flag_name f)) o.op_flags))
+let head b tag id = Buffer.add_char b '('; Buffer.add_string b tag; ints b [ id ]
+let close b = Buffer.add_char b ')'
+
+let to_string (cert : t) =
+  let ops = section () and terms = section () and rules = section () in
+  let rsets = section () and derivs = section () in
+  let strings = Hashtbl.create 256 in
+  let sid s =
+    match Hashtbl.find strings s with
+    | i -> i
+    | exception Not_found ->
+      Hashtbl.add strings s (Hashtbl.length strings);
+      Hashtbl.length strings - 1
   in
-  let rec term_id (t : term) =
-    match Term_phys.find_opt term_phys t with
-    | Some id -> id
-    | None ->
-      let id =
-        match t with
-        | V { v_name; v_sort } ->
-          intern terms
-            ("v", v_name, v_sort, [])
-            (fun id ->
-              Sexp.List
-                [
-                  Sexp.Atom "t";
-                  atom_int id;
-                  Sexp.Atom "v";
-                  Sexp.Atom v_name;
-                  Sexp.Atom v_sort;
-                ])
-        | A (o, args) ->
-          let oid = op_id o in
-          let aids = List.map term_id args in
-          intern terms
-            ("a", string_of_int oid, "", aids)
-            (fun id ->
-              Sexp.List
-                ([ Sexp.Atom "t"; atom_int id; Sexp.Atom "a"; atom_int oid ]
-                @ List.map atom_int aids))
+  let op_memo = Op_phys.create 256 and term_memo = Term_phys.create 4096 in
+  let rule_memo = Rule_phys.create 256 and rset_memo = Rset_phys.create 256 in
+  let deriv_memo = Deriv_phys.create 4096 in
+  (* Ids follow the order of first visits, children before parents. *)
+  let op_entry o =
+    let flags = List.map flag_name o.op_flags in
+    let key = List.map sid (o.op_name :: o.op_sort :: o.op_arity @ flags) in
+    intern ops (List.length o.op_arity :: key) (fun b id ->
+        head b "op" id;
+        atoms b [ o.op_name ];
+        list b Sexp.add_atom o.op_arity;
+        atoms b (o.op_sort :: flags);
+        close b)
+  in
+  let op_id o = Op_phys.memo op_memo o op_entry in
+  let rec term_id t = Term_phys.memo term_memo t term_entry
+  and term_entry = function
+    | V { v_name; v_sort } ->
+      intern terms [ -1; sid v_name; sid v_sort ] (fun b id ->
+          head b "t" id; atoms b [ "v"; v_name; v_sort ]; close b)
+    | A (o, args) ->
+      let oid = op_id o in
+      let aids = List.map term_id args in
+      intern terms (oid :: aids) (fun b id ->
+          head b "t" id; atoms b [ "a" ]; ints b (oid :: aids); close b)
+  in
+  let rule_entry r =
+    let lid = term_id r.r_lhs in
+    let rid = term_id r.r_rhs in
+    let cid = Option.map term_id r.r_cond in
+    intern rules [ sid r.r_label; lid; rid; Option.value cid ~default:(-1) ] (fun b id ->
+        head b "rule" id; atoms b [ r.r_label ]; ints b (lid :: rid :: Option.to_list cid); close b)
+  in
+  let rule_id r = Rule_phys.memo rule_memo r rule_entry in
+  let rec rset_id rs = Rset_phys.memo rset_memo rs rset_entry
+  and rset_entry rs =
+    let pid = match rs.rs_parent with None -> -1 | Some p -> rset_id p in
+    let rids = List.map rule_id rs.rs_rules in
+    intern rsets (pid :: rids) (fun b id -> head b "rs" id; ints b (pid :: rids); close b)
+  in
+  let rec deriv_id d = Deriv_phys.memo deriv_memo d deriv_entry
+  and deriv_entry d =
+    match d.d_node with
+    | Triv ->
+      let tid = term_id d.d_in in
+      intern derivs [ -1; tid ] (fun b id -> head b "d" id; atoms b [ "triv" ]; ints b [ tid ]; close b)
+    | App { children; perm; step } ->
+      let iid = term_id d.d_in in
+      let oid = term_id d.d_out in
+      let cids = List.map deriv_id children in
+      let step =
+        Option.map
+          (fun s ->
+            let rid = rule_id s.s_rule in
+            let tids = List.map (fun (_, _, t) -> term_id t) s.s_sub in
+            let cond = Option.map deriv_id s.s_cond in
+            (s, rid, tids, cond, deriv_id s.s_next))
+          step
       in
-      Term_phys.replace term_phys t id;
-      id
-  in
-  let rule_id (r : rule) =
-    match Phys.find_opt rule_phys (Obj.repr r) with
-    | Some id -> id
-    | None ->
-      let lid = term_id r.r_lhs and rid = term_id r.r_rhs in
-      let cid = Option.map term_id r.r_cond in
-      let id =
-        intern rules
-          (r.r_label, lid, rid, cid)
-          (fun id ->
-            Sexp.List
-              ([
-                 Sexp.Atom "rule";
-                 atom_int id;
-                 Sexp.Atom r.r_label;
-                 atom_int lid;
-                 atom_int rid;
-               ]
-              @ match cid with None -> [] | Some c -> [ atom_int c ]))
+      (* all ids are >= 0, so the negative markers make the variable-
+         length parts of the key unambiguous; a step is keyed by its
+         bindings' images, not their names *)
+      let key =
+        (-2 :: iid :: oid :: cids)
+        @ (match perm with None -> [ -1 ] | Some p -> -3 :: p)
+        @
+        match step with
+        | None -> [ -5 ]
+        | Some (_, rid, tids, cond, nid) ->
+          (-4 :: rid :: nid :: tids) @ [ Option.value cond ~default:(-1) ]
       in
-      Phys.replace rule_phys (Obj.repr r) id;
-      id
+      intern derivs key (fun b id ->
+          head b "d" id;
+          atoms b [ "app" ];
+          ints b [ iid; oid ];
+          list b int cids;
+          Option.iter (fun p -> Buffer.add_string b " (perm"; ints b p; close b) perm;
+          Option.iter
+            (fun (s, rid, tids, cond, nid) ->
+              Buffer.add_string b " (step";
+              ints b [ rid ];
+              Buffer.add_string b " (sub";
+              List.iter2
+                (fun (n, srt, _) tid ->
+                  Buffer.add_string b " (";
+                  Sexp.add_atom b n;
+                  atoms b [ srt ];
+                  ints b [ tid ];
+                  close b)
+                s.s_sub tids;
+              close b;
+              Option.iter (fun c -> Buffer.add_string b " (cond"; ints b [ c ]; close b) cond;
+              ints b [ nid ];
+              close b)
+            step;
+          close b)
   in
-  let rec rset_id (rs : rset) =
-    match Phys.find_opt rset_phys (Obj.repr rs) with
-    | Some id -> id
-    | None ->
-      let pid = match rs.rs_parent with None -> -1 | Some p -> rset_id p in
-      let rids = List.map rule_id rs.rs_rules in
-      let id =
-        intern rsets (pid, rids) (fun id ->
-            Sexp.List
-              ([ Sexp.Atom "rs"; atom_int id; atom_int pid ] @ List.map atom_int rids))
-      in
-      Phys.replace rset_phys (Obj.repr rs) id;
-      id
-  in
-  let rec deriv_id (d : deriv) =
-    match Itbl.find_opt deriv_memo d.d_id with
-    | Some id -> id
-    | None ->
-      let id =
-        match d.d_node with
-        | Triv ->
-          let tid = term_id d.d_in in
-          intern derivs
-            [ -1; tid ]
-            (fun id ->
-              Sexp.List [ Sexp.Atom "d"; atom_int id; Sexp.Atom "triv"; atom_int tid ])
-        | App { children; perm; step } ->
-          let iid = term_id d.d_in and oid = term_id d.d_out in
-          let cids = List.map deriv_id children in
-          let perm_part =
-            match perm with
-            | None -> []
-            | Some p -> [ Sexp.List (Sexp.Atom "perm" :: List.map atom_int p) ]
-          in
-          let step_part, step_key =
-            match step with
-            | None -> ([], [])
-            | Some s ->
-              let rid = rule_id s.s_rule in
-              let sub =
-                List.map
-                  (fun (n, srt, t) ->
-                    let tid = term_id t in
-                    (Sexp.List [ Sexp.Atom n; Sexp.Atom srt; atom_int tid ], tid))
-                  s.s_sub
-              in
-              let cond = Option.map deriv_id s.s_cond in
-              let nid = deriv_id s.s_next in
-              ( [
-                  Sexp.List
-                    ([ Sexp.Atom "step"; atom_int rid ]
-                    @ [ Sexp.List (Sexp.Atom "sub" :: List.map fst sub) ]
-                    @ (match cond with
-                      | None -> []
-                      | Some c -> [ Sexp.List [ Sexp.Atom "cond"; atom_int c ] ])
-                    @ [ atom_int nid ]);
-                ],
-                (-4 :: rid :: nid :: List.map snd sub)
-                @ [ (match cond with None -> -1 | Some c -> c) ] )
-          in
-          (* all ids are >= 0, so the negative markers make the variable-
-             length sections of the key unambiguous *)
-          let key =
-            (-2 :: iid :: oid :: cids)
-            @ (match perm with None -> [ -1 ] | Some p -> -3 :: p)
-            @ (match step_key with [] -> [ -5 ] | k -> k)
-          in
-          intern derivs key (fun id ->
-              Sexp.List
-                ([
-                   Sexp.Atom "d";
-                   atom_int id;
-                   Sexp.Atom "app";
-                   atom_int iid;
-                   atom_int oid;
-                   Sexp.List (List.map atom_int cids);
-                 ]
-                @ perm_part @ step_part))
-      in
-      Itbl.replace deriv_memo d.d_id id;
-      id
-  in
-  let reds =
-    List.map
-      (fun r ->
-        let rsid = rset_id r.red_rset in
-        let iid = term_id r.red_in and oid = term_id r.red_out in
-        let did = deriv_id r.red_deriv in
-        Sexp.List
-          [
-            Sexp.Atom "red";
-            Sexp.Atom r.red_name;
-            atom_int rsid;
-            atom_int iid;
-            atom_int oid;
-            atom_int did;
-          ])
-      cert.reds
-  in
+  let reds = Buffer.create 65536 in
+  List.iter
+    (fun r ->
+      let rsid = rset_id r.red_rset in
+      let iid = term_id r.red_in in
+      let oid = term_id r.red_out in
+      let did = deriv_id r.red_deriv in
+      Buffer.add_string reds " (red";
+      atoms reds [ r.red_name ];
+      ints reds [ rsid; iid; oid; did ];
+      close reds)
+    cert.reds;
   let lpo =
-    match cert.lpo with
-    | None -> []
-    | Some l ->
-      let prec = List.map op_id l.lpo_prec in
-      let rids = List.map rule_id l.lpo_rules in
-      [
-        Sexp.List
-          [
-            Sexp.Atom "lpo";
-            Sexp.List (Sexp.Atom "prec" :: List.map atom_int prec);
-            Sexp.List (Sexp.Atom "rules" :: List.map atom_int rids);
-          ];
-      ]
+    Option.map
+      (fun l ->
+        let prec = List.map op_id l.lpo_prec in
+        (prec, List.map rule_id l.lpo_rules))
+      cert.lpo
   in
-  let rec jcert_sx (jc : jcert) =
-    let l = deriv_id jc.jc_left and r = deriv_id jc.jc_right in
+  (* Ids keep the order they have always had, which pinned certificate
+     digests depend on: a join visits its certificate first (inside a
+     split: the false branch, the true branch, then the condition), then
+     its right, left and peak terms, then its rule set. *)
+  let rec jcert jc =
+    let l = deriv_id jc.jc_left in
+    let r = deriv_id jc.jc_right in
     let tail =
       match jc.jc_tail with
-      | Jsyn -> Sexp.Atom "syn"
-      | Jring -> Sexp.Atom "ring"
+      | Jsyn -> "syn"
+      | Jring -> "ring"
       | Jsplit (c, jt, jf) ->
-        Sexp.List [ Sexp.Atom "split"; atom_int (term_id c); jcert_sx jt; jcert_sx jf ]
+        let f = jcert jf in
+        let t = jcert jt in
+        Printf.sprintf "(split %d %s %s)" (term_id c) t f
     in
-    Sexp.List [ Sexp.Atom "j"; atom_int l; atom_int r; tail ]
+    Printf.sprintf "(j %d %d %s)" l r tail
   in
-  let joins =
-    List.map
-      (fun j ->
-        Sexp.List
-          [
-            Sexp.Atom "join";
-            Sexp.Atom j.j_label;
-            atom_int (rset_id j.j_rset);
-            atom_int (term_id j.j_peak);
-            atom_int (term_id j.j_left);
-            atom_int (term_id j.j_right);
-            jcert_sx j.j_cert;
-          ])
-      cert.joins
+  let joins = Buffer.create 65536 in
+  List.iter
+    (fun j ->
+      let jc = jcert j.j_cert in
+      let right = term_id j.j_right in
+      let left = term_id j.j_left in
+      let peak = term_id j.j_peak in
+      Buffer.add_string joins " (join";
+      atoms joins [ j.j_label ];
+      ints joins [ rset_id j.j_rset; peak; left; right ];
+      Buffer.add_char joins ' ';
+      Buffer.add_string joins jc;
+      close joins)
+    cert.joins;
+  let lpo =
+    match lpo with
+    | None -> []
+    | Some (prec, rids) ->
+      let b = Buffer.create 4096 in
+      Buffer.add_string b " (prec";
+      ints b prec;
+      Buffer.add_string b ") (rules";
+      ints b rids;
+      close b;
+      [ "lpo", b ]
   in
-  Sexp.List
-    ([
-       Sexp.Atom "eqcert";
-       Sexp.List [ Sexp.Atom "version"; atom_int 1 ];
-       Sexp.List (Sexp.Atom "ops" :: entries ops);
-       Sexp.List (Sexp.Atom "terms" :: entries terms);
-       Sexp.List (Sexp.Atom "rules" :: entries rules);
-       Sexp.List (Sexp.Atom "rsets" :: entries rsets);
-       Sexp.List (Sexp.Atom "derivs" :: entries derivs);
-       Sexp.List (Sexp.Atom "reds" :: reds);
-     ]
-    @ lpo
-    @ [ Sexp.List (Sexp.Atom "joins" :: joins) ])
-
-let to_string cert = Sexp.to_string (to_sexp cert)
+  let parts =
+    [ "ops", ops.text; "terms", terms.text; "rules", rules.text; "rsets", rsets.text;
+      "derivs", derivs.text; "reds", reds ]
+    @ lpo @ [ "joins", joins ]
+  in
+  let out = Buffer.create (List.fold_left (fun n (_, b) -> n + Buffer.length b + 16) 32 parts) in
+  Buffer.add_string out "(eqcert (version 1)";
+  List.iter
+    (fun (name, b) ->
+      Buffer.add_string out " (";
+      Buffer.add_string out name;
+      Buffer.add_buffer out b;
+      close out)
+    parts;
+  close out;
+  Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
@@ -401,17 +377,6 @@ let to_string cert = Sexp.to_string (to_sexp cert)
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let as_int ctx = function
-  | Sexp.Atom a -> (
-    match int_of_string_opt a with
-    | Some n -> n
-    | None -> bad "%s: expected integer, got %S" ctx a)
-  | Sexp.List _ -> bad "%s: expected integer, got a list" ctx
-
-let as_atom ctx = function
-  | Sexp.Atom a -> a
-  | Sexp.List _ -> bad "%s: expected atom, got a list" ctx
 
 (* Growable id-indexed store; references must point at already-defined
    entries, so a certificate cannot contain forward or cyclic references. *)
@@ -434,218 +399,235 @@ let store_get st id =
   if id < 0 || id >= st.len then bad "%s: unknown id %d" st.what id;
   st.arr.(id)
 
-let of_sexp (sx : Sexp.t) : (t, string) result =
+(* The text is read once, front to back, each entry going straight into
+   its store. *)
+let of_string text =
+  Sexp.read_one text @@ fun r ->
+  let ops = store "op" and terms = store "term" and rules = store "rule" in
+  let rsets = store "rset" and derivs = store "deriv" in
+  let reds = ref [] and lpo = ref None and joins = ref [] in
+  (* Readers of one field.  [m] is the error for an entry that ends, or
+     holds the wrong kind of item, where the field belongs. *)
+  let int m what =
+    match Sexp.peek r with
+    | Sexp.Word -> (
+      match Sexp.int r with
+      | Some n -> n
+      | None -> bad "%s: expected integer, got %S" what (Sexp.atom r))
+    | Sexp.Open -> bad "%s: expected integer, got a list" what
+    | _ -> raise (Bad m)
+  in
+  let atom m what =
+    match Sexp.peek r with
+    | Sexp.Word -> Sexp.atom r
+    | Sexp.Open -> bad "%s: expected atom, got a list" what
+    | _ -> raise (Bad m)
+  in
+  let word m = match Sexp.peek r with Sexp.Word -> Sexp.atom r | _ -> raise (Bad m) in
+  let open_ m = match Sexp.peek r with Sexp.Open -> Sexp.open_list r | _ -> raise (Bad m) in
+  let enter m kw = open_ m; if word m <> kw then raise (Bad m) in
+  let at_close () =
+    match Sexp.peek r with Sexp.Close -> Sexp.close_list r; true | _ -> false
+  in
+  let leave m = if not (at_close ()) then raise (Bad m) in
+  let items f =
+    let rec go acc = if at_close () then List.rev acc else go (f () :: acc) in
+    go []
+  in
+  let id_in st m what = store_get st (int m what) in
+  let dec_op () =
+    let m = "ops: malformed entry" in
+    enter m "op";
+    let id = int m "op id" in
+    let op_name = atom m "op name" in
+    open_ m;
+    let op_arity = items (fun () -> atom m "op arity sort") in
+    let op_sort = atom m "op sort" in
+    let op_flags =
+      items (fun () ->
+          let a = atom m "op flag" in
+          match flag_of_name a with Some f -> f | None -> bad "op %d: unknown flag %S" id a)
+    in
+    store_add ops id { op_name; op_arity; op_sort; op_flags }
+  in
+  let dec_term () =
+    let m = "terms: malformed entry" in
+    enter m "t";
+    let id = int m "term id" in
+    match word m with
+    | "v" ->
+      let v_name = atom m "var name" in
+      let v_sort = atom m "var sort" in
+      leave m;
+      store_add terms id (V { v_name; v_sort })
+    | "a" ->
+      let o = id_in ops m "term op id" in
+      store_add terms id (A (o, items (fun () -> id_in terms m "term arg id")))
+    | _ -> raise (Bad m)
+  in
+  let dec_rule () =
+    let m = "rules: malformed entry" in
+    enter m "rule";
+    let id = int m "rule id" in
+    let r_label = atom m "rule label" in
+    let r_lhs = id_in terms m "rule lhs id" in
+    let r_rhs = id_in terms m "rule rhs id" in
+    let r_cond = if at_close () then None else Some (id_in terms m "rule cond id") in
+    if Option.is_some r_cond && not (at_close ()) then bad "rule %d: too many fields" id;
+    store_add rules id { r_label; r_lhs; r_rhs; r_cond }
+  in
+  let dec_rset () =
+    let m = "rsets: malformed entry" in
+    enter m "rs";
+    let id = int m "rset id" in
+    let rs_parent = match int m "rset parent" with -1 -> None | p -> Some (store_get rsets p) in
+    let rs_rules = items (fun () -> id_in rules m "rset rule id") in
+    store_add rsets id { rs_parent; rs_rules }
+  in
+  (* after [(step] *)
+  let dec_step () =
+    let m = "step: malformed" in
+    let s_rule = id_in rules m "step rule id" in
+    enter m "sub";
+    let s_sub =
+      items (fun () ->
+          let m = "step: malformed binding" in
+          open_ m;
+          let n = atom m "binding var" in
+          let s = atom m "binding sort" in
+          let t = id_in terms m "binding term id" in
+          leave m;
+          (n, s, t))
+    in
+    let m = "step: malformed tail" in
+    let s_cond =
+      match Sexp.peek r with
+      | Sexp.Open ->
+        enter m "cond";
+        let d = id_in derivs m "cond deriv id" in
+        leave m;
+        Some d
+      | _ -> None
+    in
+    let s_next = id_in derivs m "step next deriv id" in
+    leave m;
+    { s_rule; s_sub; s_cond; s_next }
+  in
+  let dec_deriv () =
+    let m = "derivs: malformed entry" in
+    enter m "d";
+    let id = int m "deriv id" in
+    match word m with
+    | "triv" ->
+      let t = id_in terms m "deriv term id" in
+      leave m;
+      store_add derivs id (deriv ~d_in:t ~d_out:t Triv)
+    | "app" ->
+      let d_in = id_in terms m "deriv input id" in
+      let d_out = id_in terms m "deriv output id" in
+      open_ m;
+      let children = items (fun () -> id_in derivs m "child deriv id") in
+      (* then an optional (perm ...) and an optional (step ...) *)
+      let next () = if at_close () then None else (open_ "step: malformed"; Some (word "step: malformed")) in
+      let perm, kw =
+        match next () with
+        | Some "perm" ->
+          let p = items (fun () -> int m "perm index") in
+          (Some p, next ())
+        | kw -> (None, kw)
+      in
+      let step =
+        match kw with
+        | None -> None
+        | Some "step" ->
+          let s = dec_step () in
+          if not (at_close ()) then bad "deriv %d: malformed" id;
+          Some s
+        | Some _ -> raise (Bad "step: malformed")
+      in
+      store_add derivs id (deriv ~d_in ~d_out (App { children; perm; step }))
+    | _ -> raise (Bad m)
+  in
+  let dec_red () =
+    let m = "reds: malformed entry" in
+    enter m "red";
+    let red_name = atom m "red name" in
+    let red_rset = id_in rsets m "red rset id" in
+    let red_in = id_in terms m "red input id" in
+    let red_out = id_in terms m "red output id" in
+    let red_deriv = id_in derivs m "red deriv id" in
+    leave m;
+    reds := { red_name; red_rset; red_in; red_out; red_deriv } :: !reds
+  in
+  (* after [(lpo] *)
+  let dec_lpo () =
+    let m = "lpo: malformed section" in
+    enter m "prec";
+    let lpo_prec = items (fun () -> id_in ops m "prec op id") in
+    enter m "rules";
+    let lpo_rules = items (fun () -> id_in rules m "lpo rule id") in
+    leave m;
+    lpo := Some { lpo_prec; lpo_rules }
+  in
+  let rec dec_jcert () =
+    let m = "join: malformed certificate" in
+    enter m "j";
+    let jc_left = id_in derivs m "join left deriv id" in
+    let jc_right = id_in derivs m "join right deriv id" in
+    let jc_tail =
+      match Sexp.peek r with
+      | Sexp.Open ->
+        let m = "join: malformed tail" in
+        enter m "split";
+        let c = id_in terms m "split cond id" in
+        let jt = dec_jcert () in
+        let jf = dec_jcert () in
+        leave m;
+        Jsplit (c, jt, jf)
+      | _ -> (
+        match word m with
+        | "syn" -> Jsyn
+        | "ring" -> Jring
+        | _ -> raise (Bad "join: malformed tail"))
+    in
+    leave m;
+    { jc_left; jc_right; jc_tail }
+  in
+  let dec_join () =
+    let m = "joins: malformed entry" in
+    enter m "join";
+    let j_label = atom m "join label" in
+    let j_rset = id_in rsets m "join rset id" in
+    let j_peak = id_in terms m "join peak id" in
+    let j_left = id_in terms m "join left id" in
+    let j_right = id_in terms m "join right id" in
+    let j_cert = dec_jcert () in
+    leave m;
+    joins := { j_label; j_rset; j_peak; j_left; j_right; j_cert } :: !joins
+  in
+  let entries f = while not (at_close ()) do f () done in
   try
-    let sections =
-      match sx with
-      | Sexp.List (Sexp.Atom "eqcert" :: rest) -> rest
-      | _ -> bad "certificate: expected (eqcert ...)"
-    in
-    let ops = store "op" in
-    let terms = store "term" in
-    let rules = store "rule" in
-    let rsets = store "rset" in
-    let derivs = store "deriv" in
-    let reds = ref [] in
-    let lpo = ref None in
-    let joins = ref [] in
-    let dec_op = function
-      | Sexp.List
-          (Sexp.Atom "op" :: id :: name :: Sexp.List arity :: sort :: flags) ->
-        let id = as_int "op id" id in
-        let flags =
-          List.map
-            (fun f ->
-              let a = as_atom "op flag" f in
-              match flag_of_name a with
-              | Some f -> f
-              | None -> bad "op %d: unknown flag %S" id a)
-            flags
-        in
-        store_add ops id
-          {
-            op_name = as_atom "op name" name;
-            op_arity = List.map (as_atom "op arity sort") arity;
-            op_sort = as_atom "op sort" sort;
-            op_flags = flags;
-          }
-      | _ -> bad "ops: malformed entry"
-    in
-    let dec_term = function
-      | Sexp.List [ Sexp.Atom "t"; id; Sexp.Atom "v"; name; sort ] ->
-        let id = as_int "term id" id in
-        store_add terms id
-          (V { v_name = as_atom "var name" name; v_sort = as_atom "var sort" sort })
-      | Sexp.List (Sexp.Atom "t" :: id :: Sexp.Atom "a" :: oid :: args) ->
-        let id = as_int "term id" id in
-        let o = store_get ops (as_int "term op id" oid) in
-        let args = List.map (fun a -> store_get terms (as_int "term arg id" a)) args in
-        store_add terms id (A (o, args))
-      | _ -> bad "terms: malformed entry"
-    in
-    let dec_rule = function
-      | Sexp.List (Sexp.Atom "rule" :: id :: label :: lhs :: rhs :: rest) ->
-        let id = as_int "rule id" id in
-        let cond =
-          match rest with
-          | [] -> None
-          | [ c ] -> Some (store_get terms (as_int "rule cond id" c))
-          | _ -> bad "rule %d: too many fields" id
-        in
-        store_add rules id
-          {
-            r_label = as_atom "rule label" label;
-            r_lhs = store_get terms (as_int "rule lhs id" lhs);
-            r_rhs = store_get terms (as_int "rule rhs id" rhs);
-            r_cond = cond;
-          }
-      | _ -> bad "rules: malformed entry"
-    in
-    let dec_rset = function
-      | Sexp.List (Sexp.Atom "rs" :: id :: parent :: rids) ->
-        let id = as_int "rset id" id in
-        let parent =
-          match as_int "rset parent" parent with
-          | -1 -> None
-          | p -> Some (store_get rsets p)
-        in
-        let rs_rules =
-          List.map (fun r -> store_get rules (as_int "rset rule id" r)) rids
-        in
-        store_add rsets id { rs_parent = parent; rs_rules }
-      | _ -> bad "rsets: malformed entry"
-    in
-    let dec_step = function
-      | Sexp.List (Sexp.Atom "step" :: rid :: Sexp.List (Sexp.Atom "sub" :: binds) :: rest) ->
-        let s_rule = store_get rules (as_int "step rule id" rid) in
-        let s_sub =
-          List.map
-            (function
-              | Sexp.List [ n; s; tid ] ->
-                ( as_atom "binding var" n,
-                  as_atom "binding sort" s,
-                  store_get terms (as_int "binding term id" tid) )
-              | _ -> bad "step: malformed binding")
-            binds
-        in
-        let s_cond, rest =
-          match rest with
-          | Sexp.List [ Sexp.Atom "cond"; did ] :: rest ->
-            (Some (store_get derivs (as_int "cond deriv id" did)), rest)
-          | _ -> (None, rest)
-        in
-        let s_next =
-          match rest with
-          | [ nid ] -> store_get derivs (as_int "step next deriv id" nid)
-          | _ -> bad "step: malformed tail"
-        in
-        { s_rule; s_sub; s_cond; s_next }
-      | _ -> bad "step: malformed"
-    in
-    let dec_deriv = function
-      | Sexp.List [ Sexp.Atom "d"; id; Sexp.Atom "triv"; tid ] ->
-        let id = as_int "deriv id" id in
-        let t = store_get terms (as_int "deriv term id" tid) in
-        store_add derivs id (deriv ~d_in:t ~d_out:t Triv)
-      | Sexp.List
-          (Sexp.Atom "d" :: id :: Sexp.Atom "app" :: iid :: oid :: Sexp.List cids :: rest)
-        ->
-        let id = as_int "deriv id" id in
-        let d_in = store_get terms (as_int "deriv input id" iid) in
-        let d_out = store_get terms (as_int "deriv output id" oid) in
-        let children =
-          List.map (fun c -> store_get derivs (as_int "child deriv id" c)) cids
-        in
-        let perm, rest =
-          match rest with
-          | Sexp.List (Sexp.Atom "perm" :: ps) :: rest ->
-            (Some (List.map (as_int "perm index") ps), rest)
-          | _ -> (None, rest)
-        in
-        let step =
-          match rest with [] -> None | [ s ] -> Some (dec_step s) | _ -> bad "deriv %d: malformed" id
-        in
-        store_add derivs id (deriv ~d_in ~d_out (App { children; perm; step }))
-      | _ -> bad "derivs: malformed entry"
-    in
-    let dec_red = function
-      | Sexp.List [ Sexp.Atom "red"; name; rsid; iid; oid; did ] ->
-        reds :=
-          {
-            red_name = as_atom "red name" name;
-            red_rset = store_get rsets (as_int "red rset id" rsid);
-            red_in = store_get terms (as_int "red input id" iid);
-            red_out = store_get terms (as_int "red output id" oid);
-            red_deriv = store_get derivs (as_int "red deriv id" did);
-          }
-          :: !reds
-      | _ -> bad "reds: malformed entry"
-    in
-    let dec_lpo = function
-      | [ Sexp.List (Sexp.Atom "prec" :: ps); Sexp.List (Sexp.Atom "rules" :: rs) ] ->
-        lpo :=
-          Some
-            {
-              lpo_prec = List.map (fun p -> store_get ops (as_int "prec op id" p)) ps;
-              lpo_rules =
-                List.map (fun r -> store_get rules (as_int "lpo rule id" r)) rs;
-            }
-      | _ -> bad "lpo: malformed section"
-    in
-    let rec dec_jcert = function
-      | Sexp.List [ Sexp.Atom "j"; l; r; tail ] ->
-        let jc_left = store_get derivs (as_int "join left deriv id" l) in
-        let jc_right = store_get derivs (as_int "join right deriv id" r) in
-        let jc_tail =
-          match tail with
-          | Sexp.Atom "syn" -> Jsyn
-          | Sexp.Atom "ring" -> Jring
-          | Sexp.List [ Sexp.Atom "split"; c; jt; jf ] ->
-            Jsplit
-              ( store_get terms (as_int "split cond id" c),
-                dec_jcert jt,
-                dec_jcert jf )
-          | _ -> bad "join: malformed tail"
-        in
-        { jc_left; jc_right; jc_tail }
-      | _ -> bad "join: malformed certificate"
-    in
-    let dec_join = function
-      | Sexp.List [ Sexp.Atom "join"; label; rsid; peak; left; right; jc ] ->
-        joins :=
-          {
-            j_label = as_atom "join label" label;
-            j_rset = store_get rsets (as_int "join rset id" rsid);
-            j_peak = store_get terms (as_int "join peak id" peak);
-            j_left = store_get terms (as_int "join left id" left);
-            j_right = store_get terms (as_int "join right id" right);
-            j_cert = dec_jcert jc;
-          }
-          :: !joins
-      | _ -> bad "joins: malformed entry"
-    in
-    List.iter
-      (function
-        | Sexp.List [ Sexp.Atom "version"; v ] ->
-          let v = as_int "version" v in
-          if v <> 1 then bad "unsupported certificate version %d" v
-        | Sexp.List (Sexp.Atom "ops" :: es) -> List.iter dec_op es
-        | Sexp.List (Sexp.Atom "terms" :: es) -> List.iter dec_term es
-        | Sexp.List (Sexp.Atom "rules" :: es) -> List.iter dec_rule es
-        | Sexp.List (Sexp.Atom "rsets" :: es) -> List.iter dec_rset es
-        | Sexp.List (Sexp.Atom "derivs" :: es) -> List.iter dec_deriv es
-        | Sexp.List (Sexp.Atom "reds" :: es) -> List.iter dec_red es
-        | Sexp.List (Sexp.Atom "lpo" :: es) -> dec_lpo es
-        | Sexp.List (Sexp.Atom "joins" :: es) -> List.iter dec_join es
-        | _ -> bad "certificate: unknown section")
-      sections;
+    enter "certificate: expected (eqcert ...)" "eqcert";
+    let unknown = "certificate: unknown section" in
+    while not (at_close ()) do
+      open_ unknown;
+      match word unknown with
+      | "version" ->
+        let v = int unknown "version" in
+        leave unknown;
+        if v <> 1 then bad "unsupported certificate version %d" v
+      | "ops" -> entries dec_op
+      | "terms" -> entries dec_term
+      | "rules" -> entries dec_rule
+      | "rsets" -> entries dec_rset
+      | "derivs" -> entries dec_deriv
+      | "reds" -> entries dec_red
+      | "lpo" -> dec_lpo ()
+      | "joins" -> entries dec_join
+      | _ -> raise (Bad unknown)
+    done;
     Ok { reds = List.rev !reds; lpo = !lpo; joins = List.rev !joins }
   with Bad msg -> Error msg
-
-let of_string s =
-  match Sexp.parse_one s with
-  | Error e -> Error e
-  | Ok sx -> of_sexp sx
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (round-trip tests) *)
@@ -654,30 +636,24 @@ let rec term_equal a b =
   a == b
   ||
   match a, b with
-  | V a, V b -> String.equal a.v_name b.v_name && String.equal a.v_sort b.v_sort
-  | A (oa, aa), A (ob, ab) ->
-    op_equal oa ob
-    && List.length aa = List.length ab
-    && List.for_all2 term_equal aa ab
+  | V a, V b -> a.v_name = b.v_name && a.v_sort = b.v_sort
+  | A (oa, aa), A (ob, ab) -> op_equal oa ob && List.equal term_equal aa ab
   | _ -> false
 
 and op_equal a b =
   a == b
-  || String.equal a.op_name b.op_name
-     && a.op_arity = b.op_arity && String.equal a.op_sort b.op_sort
+  || a.op_name = b.op_name && a.op_arity = b.op_arity && a.op_sort = b.op_sort
      && a.op_flags = b.op_flags
 
 let rule_equal a b =
   a == b
-  || String.equal a.r_label b.r_label
-     && term_equal a.r_lhs b.r_lhs && term_equal a.r_rhs b.r_rhs
+  || a.r_label = b.r_label && term_equal a.r_lhs b.r_lhs && term_equal a.r_rhs b.r_rhs
      && Option.equal term_equal a.r_cond b.r_cond
 
 let rec rset_equal a b =
   a == b
   || Option.equal rset_equal a.rs_parent b.rs_parent
-     && List.length a.rs_rules = List.length b.rs_rules
-     && List.for_all2 rule_equal a.rs_rules b.rs_rules
+     && List.equal rule_equal a.rs_rules b.rs_rules
 
 let rec deriv_equal a b =
   a == b
@@ -686,34 +662,18 @@ let rec deriv_equal a b =
      match a.d_node, b.d_node with
      | Triv, Triv -> true
      | App a, App b ->
-       List.length a.children = List.length b.children
-       && List.for_all2 deriv_equal a.children b.children
+       List.equal deriv_equal a.children b.children
        && a.perm = b.perm
        && Option.equal step_equal a.step b.step
      | _ -> false
 
 and step_equal a b =
   rule_equal a.s_rule b.s_rule
-  && List.length a.s_sub = List.length b.s_sub
-  && List.for_all2
-       (fun (n1, s1, t1) (n2, s2, t2) ->
-         String.equal n1 n2 && String.equal s1 s2 && term_equal t1 t2)
+  && List.equal
+       (fun (n1, s1, t1) (n2, s2, t2) -> n1 = n2 && s1 = s2 && term_equal t1 t2)
        a.s_sub b.s_sub
   && Option.equal deriv_equal a.s_cond b.s_cond
   && deriv_equal a.s_next b.s_next
-
-let red_equal a b =
-  String.equal a.red_name b.red_name
-  && rset_equal a.red_rset b.red_rset
-  && term_equal a.red_in b.red_in
-  && term_equal a.red_out b.red_out
-  && deriv_equal a.red_deriv b.red_deriv
-
-let lpo_equal a b =
-  List.length a.lpo_prec = List.length b.lpo_prec
-  && List.for_all2 op_equal a.lpo_prec b.lpo_prec
-  && List.length a.lpo_rules = List.length b.lpo_rules
-  && List.for_all2 rule_equal a.lpo_rules b.lpo_rules
 
 let rec jcert_equal a b =
   deriv_equal a.jc_left b.jc_left
@@ -725,17 +685,21 @@ let rec jcert_equal a b =
     term_equal c1 c2 && jcert_equal t1 t2 && jcert_equal f1 f2
   | _ -> false
 
-let join_equal a b =
-  String.equal a.j_label b.j_label
-  && rset_equal a.j_rset b.j_rset
-  && term_equal a.j_peak b.j_peak
-  && term_equal a.j_left b.j_left
-  && term_equal a.j_right b.j_right
-  && jcert_equal a.j_cert b.j_cert
-
 let equal a b =
-  List.length a.reds = List.length b.reds
-  && List.for_all2 red_equal a.reds b.reds
-  && Option.equal lpo_equal a.lpo b.lpo
-  && List.length a.joins = List.length b.joins
-  && List.for_all2 join_equal a.joins b.joins
+  List.equal
+    (fun a b ->
+      a.red_name = b.red_name && rset_equal a.red_rset b.red_rset
+      && term_equal a.red_in b.red_in && term_equal a.red_out b.red_out
+      && deriv_equal a.red_deriv b.red_deriv)
+    a.reds b.reds
+  && Option.equal
+       (fun a b ->
+         List.equal op_equal a.lpo_prec b.lpo_prec
+         && List.equal rule_equal a.lpo_rules b.lpo_rules)
+       a.lpo b.lpo
+  && List.equal
+       (fun a b ->
+         a.j_label = b.j_label && rset_equal a.j_rset b.j_rset
+         && term_equal a.j_peak b.j_peak && term_equal a.j_left b.j_left
+         && term_equal a.j_right b.j_right && jcert_equal a.j_cert b.j_cert)
+       a.joins b.joins

@@ -1,4 +1,6 @@
-(** Proof-certificate AST and its S-expression wire format.
+(** Proof-certificate AST and its S-expression wire format, encoded and
+    decoded in one pass over the text: neither side builds a {!Sexp.t}
+    tree.
 
     A certificate packages three kinds of obligations emitted by the
     rewriting engine, each independently replayable by {!Check}:
@@ -111,15 +113,27 @@ type t = { reds : red list; lpo : lpo option; joins : join list }
     [d_id]. *)
 val deriv : d_in:term -> d_out:term -> dnode -> deriv
 
-(** Tables keyed by a term's physical identity.  They hash operator and
-    variable names two levels deep: the bounded [Hashtbl.hash] would
-    spend its budget on the head [op] record, which every term with that
-    head shares. *)
+(** Tables keyed by physical identity.  Each hashes a cheap field that
+    spreads (the bounded [Hashtbl.hash] would spend its budget on the
+    first record it meets, such as a term's head [op], which every term
+    with that head shares): terms by operator and variable names two
+    levels deep, rules by label and left-hand side, rule sets by their
+    first rule, derivations by their [d_id]. *)
 module Term_phys : Hashtbl.S with type key = term
 
-val to_sexp : t -> Sexp.t
+module Rule_phys : Hashtbl.S with type key = rule
+module Rset_phys : Hashtbl.S with type key = rset
+module Deriv_phys : Hashtbl.S with type key = deriv
+
+(** [to_string c] prints [c] in the grammar above, writing each entry as
+    soon as the walk gives it an id. *)
 val to_string : t -> string
-val of_sexp : Sexp.t -> (t, string) result
+
+(** [of_string s] reads [s] front to back straight into the id tables.  A
+    lexical error reads [parse error at LINE:COL: ...]; anything but
+    exactly one s-expression, a version other than 1, an unknown flag or
+    section, an id out of order or a reference to an id not yet defined
+    is an [Error] too. *)
 val of_string : string -> (t, string) result
 
 (** Structural equality (ignores sharing); for round-trip tests. *)

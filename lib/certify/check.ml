@@ -12,15 +12,8 @@ type error = { e_path : string; e_msg : string }
 
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.e_path e.e_msg
 
-(* Physical-identity memo tables (certificate ASTs are DAGs).  Terms go in
-   [C.Term_phys], which hashes them by shape; rules, rule sets and
-   derivations in [Phys]. *)
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+(* Memo tables keyed by physical identity (certificate ASTs are DAGs):
+   [C.Term_phys], [C.Rule_phys], [C.Rset_phys] and [C.Deriv_phys]. *)
 
 let bool_sort = "Bool"
 
@@ -223,10 +216,10 @@ type t = {
   cert : C.t;
   canon_memo : C.term C.Term_phys.t;
   wf_memo : unit C.Term_phys.t;
-  rule_memo : unit Phys.t;
-  deriv_memo : (IntSet.t, error) result Phys.t;
-  rset_memo : IntSet.t Phys.t;
-  rule_ids : int Phys.t;
+  rule_memo : unit C.Rule_phys.t;
+  deriv_memo : (IntSet.t, error) result C.Deriv_phys.t;
+  rset_memo : IntSet.t C.Rset_phys.t;
+  rule_ids : int C.Rule_phys.t;
   mutable next_rule_id : int;
   mutable steps_validated : int;
   mutable tt_term : C.term option;
@@ -241,12 +234,12 @@ let reject path fmt =
 let sub fmt = Printf.sprintf fmt
 
 let rule_id ck r =
-  match Phys.find_opt ck.rule_ids (Obj.repr r) with
+  match C.Rule_phys.find_opt ck.rule_ids r with
   | Some i -> i
   | None ->
     let i = ck.next_rule_id in
     ck.next_rule_id <- i + 1;
-    Phys.replace ck.rule_ids (Obj.repr r) i;
+    C.Rule_phys.replace ck.rule_ids r i;
     i
 
 let pp_term ppf t =
@@ -342,7 +335,7 @@ let rec wf_term ck path t =
   end
 
 let wf_rule ck path (r : C.rule) =
-  if not (Phys.mem ck.rule_memo (Obj.repr r)) then begin
+  if not (C.Rule_phys.mem ck.rule_memo r) then begin
     let path = sub "%s/rule %s" path r.C.r_label in
     wf_term ck path r.C.r_lhs;
     wf_term ck path r.C.r_rhs;
@@ -355,12 +348,12 @@ let wf_rule ck path (r : C.rule) =
       wf_term ck path c;
       if not (String.equal (sort_of c) bool_sort) then
         reject path "condition has sort %s, expected Bool" (sort_of c));
-    Phys.replace ck.rule_memo (Obj.repr r) ()
+    C.Rule_phys.replace ck.rule_memo r ()
   end
 
 (* The set of rule ids available in a rule-set chain. *)
 let rec rset_closure ck path (rs : C.rset) =
-  match Phys.find_opt ck.rset_memo (Obj.repr rs) with
+  match C.Rset_phys.find_opt ck.rset_memo rs with
   | Some s -> s
   | None ->
     let base =
@@ -375,7 +368,7 @@ let rec rset_closure ck path (rs : C.rset) =
           IntSet.add (rule_id ck r) s)
         base rs.C.rs_rules
     in
-    Phys.replace ck.rset_memo (Obj.repr rs) s;
+    C.Rset_phys.replace ck.rset_memo rs s;
     s
 
 (* ----- derivation replay ------------------------------------------- *)
@@ -405,14 +398,14 @@ let ac_equal ck a b = term_equal (canon ck.canon_memo a) (canon ck.canon_memo b)
 let is_tt = function C.A (o, []) -> has_flag C.Tt o | _ -> false
 
 let rec validate ck path (d : C.deriv) : IntSet.t =
-  match Phys.find_opt ck.deriv_memo (Obj.repr d) with
+  match C.Deriv_phys.find_opt ck.deriv_memo d with
   | Some (Ok used) -> used
   | Some (Error e) -> raise (Reject e)
   | None ->
     let result =
       try Ok (validate_uncached ck path d) with Reject e -> Error e
     in
-    Phys.replace ck.deriv_memo (Obj.repr d) result;
+    C.Deriv_phys.replace ck.deriv_memo d result;
     (match result with Ok used -> used | Error e -> raise (Reject e))
 
 and validate_uncached ck path (d : C.deriv) : IntSet.t =
@@ -645,10 +638,10 @@ let create (cert : C.t) : t =
     cert;
     canon_memo = C.Term_phys.create 4096;
     wf_memo = C.Term_phys.create 4096;
-    rule_memo = Phys.create 256;
-    deriv_memo = Phys.create 4096;
-    rset_memo = Phys.create 64;
-    rule_ids = Phys.create 256;
+    rule_memo = C.Rule_phys.create 256;
+    deriv_memo = C.Deriv_phys.create 4096;
+    rset_memo = C.Rset_phys.create 64;
+    rule_ids = C.Rule_phys.create 256;
     next_rule_id = 0;
     steps_validated = 0;
     tt_term = None;

@@ -14,23 +14,23 @@ let bare_re c =
     true
   | _ -> false
 
-let is_bare s = s <> "" && String.for_all bare_re s
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let add_atom buf s =
+  if s <> "" && String.for_all bare_re s then Buffer.add_string buf s
+  else begin
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  end
 
 let rec to_buffer buf = function
-  | Atom s -> if is_bare s then Buffer.add_string buf s else escape buf s
+  | Atom s -> add_atom buf s
   | List xs ->
     Buffer.add_char buf '(';
     List.iteri
@@ -46,125 +46,157 @@ let to_string x =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing *)
+(* Reading *)
 
-type pos = { line : int; col : int }
+(* A cursor over the text.  [opens] holds the offsets of the parentheses
+   still open at [pos], innermost first, so that text ending inside a list
+   is reported at the innermost one.  Errors carry a byte offset; the
+   line and column are only worked out when one is reported.  Kept
+   deliberately small: this is the trusted checker's input path. *)
+type reader = { text : string; mutable pos : int; mutable opens : int list }
+type token = Open | Close | Word | End
 
-exception Parse_error of pos * string
+exception Parse_error of int * string
 
-let error line col msg = raise (Parse_error ({ line; col }, msg))
+let fail off msg = raise (Parse_error (off, msg))
 
-(* A hand-rolled recursive-descent reader with line/column tracking.  Kept
-   deliberately small: this file is part of the trusted checker. *)
-let parse_many s =
-  let n = String.length s in
-  let i = ref 0 in
-  let line = ref 1 in
-  let col = ref 1 in
-  let advance () =
-    (if !i < n then
-       match s.[!i] with
-       | '\n' ->
-         incr line;
-         col := 1
-       | _ -> incr col);
-    incr i
-  in
-  let peek () = if !i < n then Some s.[!i] else None in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
+let rec peek r =
+  if r.pos >= String.length r.text then
+    match r.opens with [] -> End | o :: _ -> fail o "unclosed parenthesis"
+  else
+    match r.text.[r.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+      r.pos <- r.pos + 1;
+      peek r
+    | ';' ->
       (* comment to end of line *)
-      let rec to_eol () =
-        match peek () with
-        | Some '\n' | None -> ()
-        | Some _ ->
-          advance ();
-          to_eol ()
-      in
-      to_eol ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let read_quoted () =
-    let l0 = !line and c0 = !col in
-    advance () (* opening quote *);
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> error l0 c0 "unterminated string"
-      | Some '"' ->
-        advance ();
-        Buffer.contents buf
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | None -> error l0 c0 "unterminated escape"
-        | Some c ->
-          advance ();
-          Buffer.add_char buf
-            (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
-          go ())
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ()
-  in
-  let read_bare () =
-    let start = !i in
-    let rec go () =
-      match peek () with
-      | Some c when bare_re c ->
-        advance ();
-        go ()
-      | _ -> ()
-    in
-    go ();
-    String.sub s start (!i - start)
-  in
-  let rec read_one () =
-    skip_ws ();
-    match peek () with
-    | None -> error !line !col "unexpected end of input"
-    | Some '(' ->
-      let l0 = !line and c0 = !col in
-      advance ();
-      let rec items acc =
-        skip_ws ();
-        match peek () with
-        | None -> error l0 c0 "unclosed parenthesis"
-        | Some ')' ->
-          advance ();
-          List (List.rev acc)
-        | Some _ -> items (read_one () :: acc)
-      in
-      items []
-    | Some ')' -> error !line !col "unexpected ')'"
-    | Some '"' -> Atom (read_quoted ())
-    | Some c when bare_re c -> Atom (read_bare ())
-    | Some c -> error !line !col (Printf.sprintf "unexpected character %C" c)
-  in
-  let rec top acc =
-    skip_ws ();
-    match peek () with
-    | None -> List.rev acc
-    | Some _ -> top (read_one () :: acc)
-  in
-  top []
+      r.pos <-
+        (match String.index_from_opt r.text r.pos '\n' with
+        | Some i -> i
+        | None -> String.length r.text);
+      peek r
+    | '(' -> Open
+    | ')' -> ( match r.opens with [] -> fail r.pos "unexpected ')'" | _ -> Close)
+    | '"' -> Word
+    | c -> if bare_re c then Word else fail r.pos (Printf.sprintf "unexpected character %C" c)
 
-let parse_string s =
-  match parse_many s with
-  | exception Parse_error (p, msg) ->
-    Error (Printf.sprintf "parse error at %d:%d: %s" p.line p.col msg)
-  | xs -> Ok xs
+let open_list r =
+  r.opens <- r.pos :: r.opens;
+  r.pos <- r.pos + 1
+
+let close_list r =
+  r.opens <- (match r.opens with _ :: o -> o | [] -> []);
+  r.pos <- r.pos + 1
+
+let atom r =
+  let s = r.text and start = r.pos in
+  let n = String.length s in
+  if s.[start] <> '"' then begin
+    let i = ref start in
+    while !i < n && bare_re s.[!i] do
+      incr i
+    done;
+    r.pos <- !i;
+    String.sub s start (!i - start)
+  end
+  else begin
+    let buf = Buffer.create 16 in
+    let rec go i =
+      if i >= n then fail start "unterminated string"
+      else
+        match s.[i] with
+        | '"' ->
+          r.pos <- i + 1;
+          Buffer.contents buf
+        | '\\' ->
+          if i + 1 >= n then fail start "unterminated escape";
+          Buffer.add_char buf (match s.[i + 1] with 'n' -> '\n' | 't' -> '\t' | c -> c);
+          go (i + 2)
+        | c ->
+          Buffer.add_char buf c;
+          go (i + 1)
+    in
+    go (start + 1)
+  end
+
+(* Bare decimals of up to 18 digits cannot overflow and are read in place;
+   any other spelling goes through [int_of_string_opt]. *)
+let int r =
+  let s = r.text and start = r.pos in
+  let n = String.length s in
+  let d0 = if s.[start] = '-' then start + 1 else start in
+  let i = ref d0 and v = ref 0 in
+  while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do
+    v := (!v * 10) + Char.code s.[!i] - 48;
+    incr i
+  done;
+  if !i > d0 && !i - d0 <= 18 && (!i = n || not (bare_re s.[!i])) then begin
+    r.pos <- !i;
+    Some (if d0 > start then - !v else !v)
+  end
+  else
+    match int_of_string_opt (atom r) with
+    | Some _ as v -> v
+    | None ->
+      r.pos <- start;
+      None
+
+let rec read r = function
+  | Open ->
+    open_list r;
+    let rec items acc =
+      match peek r with
+      | Close ->
+        close_list r;
+        List (List.rev acc)
+      | tok -> items (read r tok :: acc)
+    in
+    items []
+  | _ -> Atom (atom r)
+
+let rec skip r = function
+  | Open ->
+    open_list r;
+    let rec items () =
+      match peek r with
+      | Close -> close_list r
+      | tok ->
+        skip r tok;
+        items ()
+    in
+    items ()
+  | _ -> ignore (atom r)
+
+let message s off msg =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to min off (String.length s) - 1 do
+    if s.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  Printf.sprintf "parse error at %d:%d: %s" !line (off - !bol + 1) msg
+
+let read_one s f =
+  let r = { text = s; pos = 0; opens = [] } in
+  match f r with
+  | Ok _ as ok when (try peek r = End with Parse_error _ -> false) -> ok
+  | res -> (
+    (* Not one well-formed expression, or [f] refused it: the first
+       lexical error wins, then a wrong count, then [f]'s verdict. *)
+    let r = { text = s; pos = 0; opens = [] } in
+    let rec count n =
+      match peek r with
+      | End -> n
+      | tok ->
+        skip r tok;
+        count (n + 1)
+    in
+    match count 0 with
+    | 1 -> res
+    | n -> Error (Printf.sprintf "expected one s-expression, got %d" n)
+    | exception Parse_error (off, msg) -> Error (message s off msg))
+  | exception Parse_error (off, msg) -> Error (message s off msg)
 
 let parse_one s =
-  match parse_string s with
-  | Error _ as e -> e
-  | Ok [ x ] -> Ok x
-  | Ok xs -> Error (Printf.sprintf "expected one s-expression, got %d" (List.length xs))
+  read_one s (fun r -> match peek r with End -> Error "empty" | tok -> Ok (read r tok))

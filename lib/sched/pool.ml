@@ -4,9 +4,9 @@ module Probe = Telemetry.Probe
 
 (* Pool telemetry: submissions by entry path, successful steals, entries
    executed and the time spent executing them (per-domain cells — the
-   busy-ns total divided by pool wall time is worker utilization), plus a
-   high-water mark for the owner deque depth.  All of it is behind the
-   probe's single-branch guard. *)
+   busy-ns total divided by the domain-seconds of the pool's life is its
+   utilization), plus a high-water mark for the owner deque depth.  All
+   of it is behind the probe's single-branch guard. *)
 let c_pushes_local = Probe.counter "sched.pushes_local"
 let c_injected = Probe.counter "sched.injected"
 let c_steals = Probe.counter "sched.steals"
@@ -160,15 +160,26 @@ let find_work pool me =
     | Some _ as r -> r
     | None -> Chan.try_recv pool.inject)
 
+(* Whether this domain is inside an entry.  An entry run while helping in
+   another entry's [await] lies within the outer entry's time, so only the
+   outermost entry of each domain adds its time to [sched.busy_ns]. *)
+let in_entry : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+
 (* Entries trap their own exceptions into the task (see [submit]), so the
    timed branch needs no handler. *)
 let run_entry (e : entry) =
   if not (Probe.enabled ()) then e ()
   else begin
     Probe.incr c_tasks;
-    let t0 = Probe.now_ns () in
-    e ();
-    Probe.add c_busy_ns (Probe.now_ns () - t0)
+    let inside = Domain.DLS.get in_entry in
+    if !inside then e ()
+    else begin
+      inside := true;
+      let t0 = Probe.now_ns () in
+      e ();
+      inside := false;
+      Probe.add c_busy_ns (Probe.now_ns () - t0)
+    end
   end
 
 let worker_loop pool i () =
@@ -332,10 +343,10 @@ let shutdown pool =
     Array.iter Domain.join pool.domains;
     pool.domains <- [||];
     if Probe.enabled () then begin
-      (* busy time over worker-seconds available; the caller domain also
-         helps in [await], so > 1.0 is possible on small pools *)
+      (* busy time over the domain-seconds available: the workers' and the
+         caller's, which helps in [await] *)
       let elapsed = Probe.now_ns () - pool.born_ns in
-      let capacity = elapsed * max 1 (Array.length pool.deques) in
+      let capacity = elapsed * jobs pool in
       if capacity > 0 then
         Probe.set_gauge "sched.utilization"
           (float_of_int (Probe.value c_busy_ns) /. float_of_int capacity)

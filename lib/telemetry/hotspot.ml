@@ -87,6 +87,11 @@ let pp ?(top = 10) ppf (snap : Probe.snapshot) =
   | [] -> ()
   | gauges ->
     Format.fprintf ppf "gauges:@.";
+    (* integral gauges (counts, sizes) in full; %.4g would print 12430
+       as 1.243e+04 *)
     List.iter
-      (fun (name, v) -> Format.fprintf ppf "  %-36s %.4g@." name v)
+      (fun (name, v) ->
+        if Float.is_integer v && Float.abs v < 1e15 then
+          Format.fprintf ppf "  %-36s %.0f@." name v
+        else Format.fprintf ppf "  %-36s %.4g@." name v)
       gauges

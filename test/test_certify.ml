@@ -523,6 +523,73 @@ let prop_roundtrip =
       | Ok cert' -> C.equal cert cert'
       | Error _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The decoder on untrusted text: whatever the bytes, [of_string] returns
+   a result and raises nothing. *)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+let decode what text =
+  match C.of_string text with
+  | r -> r
+  | exception e -> Alcotest.failf "%s: of_string raised %s" what (Printexc.to_string e)
+
+let expect_error what text needle =
+  match decode what text with
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error m -> if not (contains m needle) then Alcotest.failf "%s: %S lacks %S" what m needle
+
+(* Every proper prefix of the golden certificate ends inside a list. *)
+let test_truncations () =
+  expect_error "empty text" "" "expected one s-expression, got 0";
+  for i = 1 to String.length golden_text - 1 do
+    expect_error
+      (Printf.sprintf "%d-byte prefix" i)
+      (String.sub golden_text 0 i) "parse error at 1:"
+  done
+
+let test_untrusted_errors () =
+  let ops = "(eqcert (version 1) (ops (op 0 f (S) S) (op 1 c () S))" in
+  expect_error "overflowing id" (ops ^ " (terms (t 4611686018427387904 a 1)))")
+    "term id: expected integer, got \"4611686018427387904\"";
+  expect_error "overflowing hex id" (ops ^ " (terms (t 0x1ffffffffffffffff a 1)))")
+    "term id: expected integer";
+  expect_error "forward reference" (ops ^ " (terms (t 0 a 0 1) (t 1 a 1)))") "term: unknown id 1";
+  expect_error "id out of order" (ops ^ " (terms (t 1 a 1)))") "term: id 1 out of order";
+  (match decode "version 2" "(eqcert (version 2))" with
+  | Error m -> Alcotest.(check string) "version 2" "unsupported certificate version 2" m
+  | Ok _ -> Alcotest.fail "version 2 accepted");
+  expect_error "unclosed list" (ops ^ "\n  (terms (t 0 a 1)") "parse error at 2:3: unclosed parenthesis";
+  expect_error "two expressions" (ops ^ ") (eqcert)") "expected one s-expression, got 2";
+  (* other integer spellings read as [int_of_string_opt] reads them *)
+  List.iter
+    (fun v ->
+      match decode v (Printf.sprintf "(eqcert (version %s))" v) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "version %s refused: %s" v m)
+    [ "1"; "01"; "0x1"; "0b1"; "+1"; "\"1\"" ]
+
+let gen_mutation =
+  let n = String.length golden_text in
+  QCheck.Gen.(
+    triple (int_bound 2) (int_bound (n - 1))
+      (oneof [ char; oneofl [ '('; ')'; '"'; ' '; ';'; '\\'; '\n'; '0'; '9'; '-'; 'a' ] ]))
+
+let prop_mutations =
+  QCheck.Test.make ~name:"truncated or mutated certificates never raise" ~count:1000
+    (QCheck.make gen_mutation) (fun (kind, i, c) ->
+      let t = golden_text in
+      let mutated =
+        match kind with
+        | 0 -> String.sub t 0 i
+        | 1 -> String.sub t 0 i ^ String.sub t (i + 1) (String.length t - i - 1)
+        | _ -> String.mapi (fun j x -> if j = i then c else x) t
+      in
+      match C.of_string mutated with Ok _ | Error _ -> true)
+
 let suite =
   ( "certify",
     [
@@ -539,4 +606,7 @@ let suite =
       "encoder golden bytes", `Quick, test_golden_encoding;
       "encoder merges physical copies", `Quick, test_physical_copies;
       QCheck_alcotest.to_alcotest prop_roundtrip;
+      "decoder refuses every truncation", `Quick, test_truncations;
+      "decoder errors on untrusted text", `Quick, test_untrusted_errors;
+      QCheck_alcotest.to_alcotest prop_mutations;
     ] )

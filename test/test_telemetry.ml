@@ -318,6 +318,72 @@ let test_live_and_profiling_counters () =
   in
   Alcotest.(check bool) "live counter in the hotspot report" true (has 0)
 
+(* ------------------------------------------------------------------ *)
+(* Scheduler utilization and the hotspot report *)
+
+(* Each outer task of a pool of two runs a parallel_map of its own, so
+   both domains run inner tasks while helping inside an outer task's
+   await.  Only each domain's outermost task adds its time, so busy time
+   cannot exceed the pool's two domains over its life. *)
+let test_nested_busy_time () =
+  let spin_ns = 300_000 in
+  let spin () =
+    let t0 = Probe.now_ns () in
+    while Probe.now_ns () - t0 < spin_ns do
+      ()
+    done
+  in
+  Probe.set_enabled true;
+  let t0 = Probe.now_ns () in
+  let sums =
+    Sched.Pool.with_pool ~jobs:2 @@ fun pool ->
+    Sched.Pool.parallel_map pool
+      (fun i ->
+        spin ();
+        List.fold_left ( + ) i
+          (Sched.Pool.parallel_map pool
+             (fun j ->
+               spin ();
+               j)
+             (List.init 8 Fun.id)))
+      (List.init 6 Fun.id)
+  in
+  let wall = Probe.now_ns () - t0 in
+  Probe.set_enabled false;
+  Alcotest.(check (list int)) "results" (List.init 6 (fun i -> i + 28)) sums;
+  let busy = Probe.value (Probe.counter "sched.busy_ns") in
+  let utilization =
+    List.assoc_opt "sched.utilization" (Probe.snapshot ()).Probe.sn_gauges
+  in
+  if busy < 54 * spin_ns then
+    Alcotest.failf "busy %d ns is less than the %d ns of spinning" busy (54 * spin_ns);
+  if busy > 2 * wall then
+    Alcotest.failf "busy %d ns exceeds two domains over %d ns" busy wall;
+  match utilization with
+  | None -> Alcotest.fail "no sched.utilization gauge"
+  | Some u -> if u > 1. then Alcotest.failf "utilization %.3f > 1" u
+
+let test_integral_gauges () =
+  let snap =
+    {
+      golden_snapshot with
+      Probe.sn_spans = [];
+      sn_gauges = [ "kernel.intern.live_terms", 12430.; "sched.utilization", 0.8125 ];
+    }
+  in
+  let report = Format.asprintf "%a" (Telemetry.Hotspot.pp ~top:1) snap in
+  let has needle =
+    let rec go i =
+      i + String.length needle <= String.length report
+      && (String.sub report i (String.length needle) = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "gauge listed" true (has "kernel.intern.live_terms");
+  Alcotest.(check bool) "12430 in full" true (has " 12430\n");
+  Alcotest.(check bool) "no exponent" false (has "e+04");
+  Alcotest.(check bool) "fractions keep %.4g" true (has " 0.8125\n")
+
 let suite =
   ( "telemetry",
     [
@@ -336,4 +402,8 @@ let suite =
         (scrubbed test_one_name_one_counter);
       Alcotest.test_case "live and profiling-only counters" `Quick
         (scrubbed test_live_and_profiling_counters);
+      Alcotest.test_case "nested pool tasks count busy time once" `Quick
+        (scrubbed test_nested_busy_time);
+      Alcotest.test_case "integral gauges print in full" `Quick
+        (scrubbed test_integral_gauges);
     ] )
