@@ -170,12 +170,48 @@ let rec permutations = function
       (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (fun y -> y != x) l)))
       l
 
+exception Decided of int
+
+(* [compare_emitted emit st k] is [String.compare] of the key [emit]
+   prints for [st] (the concatenation of its chunks) against [k], decided
+   at the first byte that differs: the rest of the key is never printed. *)
+let compare_emitted emit st k =
+  let n = String.length k and pos = ref 0 in
+  let chunk c =
+    let p = !pos and m = String.length c in
+    let common = min m (n - p) in
+    for i = 0 to common - 1 do
+      let a = String.unsafe_get c i and b = String.unsafe_get k (p + i) in
+      if a <> b then raise_notrace (Decided (if a < b then -1 else 1))
+    done;
+    (* [k] is a proper prefix of the image's key *)
+    if m > common then raise_notrace (Decided 1);
+    pos := p + m
+  in
+  match emit chunk st with
+  | () -> if !pos < n then -1 else 0
+  | exception Decided r -> r
+
+(* One-byte chunks (the keys' separators) go in through [Buffer.add_char],
+   which is inlined; [Buffer.add_string] blits through a C call. *)
+let emitted_key emit st =
+  let b = Buffer.create 256 in
+  emit
+    (fun c ->
+      if String.length c = 1 then Buffer.add_char b (String.unsafe_get c 0)
+      else Buffer.add_string b c)
+    st;
+  Buffer.contents b
+
 (* Orbit minimization: the representative is the first image, in the
    order of [permutations pool], with the smallest key — idempotent by
    construction.  Permutations that agree on the pool constants occurring
    in the state give the same image, so each distinct image is remapped
-   and keyed once, and the identity's image (the state itself) never is:
-   neither can beat an earlier candidate under the strict [<].
+   and compared once, and the identity's image (the state itself) never
+   is: neither can beat an earlier candidate under the strict [<].  An
+   image is compared as it prints, against the best key so far, and
+   stops at its first differing byte; the best key is printed in full
+   only when a later image has to be compared against it.
 
    Terms are renamed through a memo, one table per permutation, that maps
    a term to its image under the whole permutation, not under the map
@@ -186,7 +222,7 @@ let rec permutations = function
    and a state's images cost lookups.  The memo belongs to the closure,
    one set of tables per domain that calls it (pool workers canonize
    under [Mc.par_bfs ~reduction]), and is freed with it. *)
-let canonizer pool ~iter_terms ~remap ~key =
+let canonizer pool ~iter_terms ~remap ~emit =
   if List.length pool < 2 then fun st -> st
   else
     (* each permutation as the pairs it moves *)
@@ -220,7 +256,8 @@ let canonizer pool ~iter_terms ~remap ~key =
         | Term.Var _ -> ()
       in
       iter_terms scan st;
-      let best = ref st and best_key = ref (lazy (key st)) and tried = ref [] in
+      (* [best_key] is [None] until an image is compared against [best] *)
+      let best = ref st and best_key = ref None and tried = ref [] in
       Array.iteri
         (fun i perm ->
           match List.filter (fun (c, _) -> List.memq c !occurring) perm with
@@ -238,10 +275,17 @@ let canonizer pool ~iter_terms ~remap ~key =
                 t'
             in
             let st' = remap image st in
-            let k' = key st' in
-            if String.compare k' (Lazy.force !best_key) < 0 then begin
+            let k =
+              match !best_key with
+              | Some k -> k
+              | None ->
+                let k = emitted_key emit !best in
+                best_key := Some k;
+                k
+            in
+            if compare_emitted emit st' k < 0 then begin
               best := st';
-              best_key := Lazy.from_val k'
+              best_key := None
             end)
         perms;
       !best

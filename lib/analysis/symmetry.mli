@@ -37,15 +37,30 @@ val analyze : Cafeobj.Spec.t -> result
     drawing interchangeable fresh values from [candidates]. *)
 val orbit_elems : result -> candidates:Term.t list -> Term.t list
 
-(** [canonizer pool ~iter_terms ~remap ~key] canonizes states over the
+(** [emitted_key emit st] is the key [emit] prints for [st]: the
+    concatenation of the chunks [emit f st] hands to [f], in order. *)
+val emitted_key : ((string -> unit) -> 's -> unit) -> 's -> string
+
+(** [compare_emitted emit st k] is
+    [String.compare (emitted_key emit st) k], decided without joining the
+    chunks: it stops [emit] (by raising through it) at the first byte
+    that decides, so the rest of the key is never printed.  [emit] must
+    let exceptions pass. *)
+val compare_emitted : ((string -> unit) -> 's -> unit) -> 's -> string -> int
+
+(** [canonizer pool ~iter_terms ~remap ~emit] canonizes states over the
     permutations of the constants [pool] (an {!orbit_elems} result).  A
-    state's representative is the first of its images, the permutations
-    taken in a fixed order, with the smallest [key]; canonization is
-    therefore idempotent.  [iter_terms f st] must apply [f] to every term
+    state's key is the concatenation of the chunks [emit f st] hands to
+    [f].  A state's representative is the first of its images, the
+    permutations taken in a fixed order, with the smallest key; canonization
+    is therefore idempotent.  [iter_terms f st] must apply [f] to every term
     of [st] that [remap] acts on, and [remap g st] must rebuild [st] with
-    [g] applied to each of them.  Each distinct image is remapped and keyed
-    once: permutations that agree on the pool constants occurring in [st]
-    share an image, and the identity's image, [st] itself, is skipped.
+    [g] applied to each of them.  Each distinct image is remapped and
+    compared once: permutations that agree on the pool constants occurring
+    in [st] share an image, and the identity's image, [st] itself, is
+    skipped.  Images are compared as they print ({!compare_emitted}), against
+    the key of the best image so far, which is printed whole only when a
+    later image is compared against it.
     The [g] given to [remap] renames under the whole permutation, with
     each term's image memoized by the returned closure, per permutation
     and per calling domain (so the closure may run on several domains at
@@ -56,7 +71,7 @@ val canonizer :
   Term.t list ->
   iter_terms:((Term.t -> unit) -> 's -> unit) ->
   remap:((Term.t -> Term.t) -> 's -> 's) ->
-  key:('s -> string) ->
+  emit:((string -> unit) -> 's -> unit) ->
   's ->
   's
 

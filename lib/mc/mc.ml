@@ -78,9 +78,13 @@ let flood ~red ~key ~next ~peek s k =
    it subsumes), or an ample set that only shuffled within the orbit. *)
 type ('s, 'a) step = Step of 'a * 's | Comp of 'a list * 's * int | Prune of int
 
+(* A level in frontier order, cut into chunks of at most [chunk_cap]
+   states, and smaller ones on a narrow level so that every domain of the
+   pool gets some. *)
+let chunk_cap = 32
+
 let chunks pool level =
-  let n = 4 * Sched.Pool.jobs pool in
-  let size = max 1 ((List.length level + n - 1) / n) in
+  let size = max 1 (min chunk_cap (List.length level / (4 * Sched.Pool.jobs pool))) in
   let rec split acc current len = function
     | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
     | x :: rest ->
@@ -89,17 +93,50 @@ let chunks pool level =
   in
   split [] [] 0 level
 
+(* [windowed pool ~expand ~merge ~passed level] expands the level's
+   chunks on [pool] and merges them in frontier order: at most [jobs + 1]
+   chunks are in flight, the first is awaited and merged, and the next is
+   submitted in its place.  Once [passed ()] (the state bound) nothing
+   more is submitted.  An exception from a merge (a violation) or from a
+   chunk settles the chunks still in flight before it propagates, so the
+   pool is idle whenever this returns. *)
+let windowed pool ~expand ~merge ~passed level =
+  let inflight = Queue.create () and pending = ref (chunks pool level) in
+  let submit () =
+    match !pending with
+    | [] -> ()
+    | chunk :: rest ->
+      pending := rest;
+      Queue.push (Sched.Pool.submit pool (fun () -> List.map expand chunk)) inflight
+  in
+  for _ = 0 to Sched.Pool.jobs pool do
+    submit ()
+  done;
+  try
+    while not (Queue.is_empty inflight) do
+      List.iter merge (Sched.Pool.await pool (Queue.pop inflight));
+      if passed () then pending := [];
+      submit ()
+    done
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Queue.iter (fun t -> try ignore (Sched.Pool.await pool t) with _ -> ()) inflight;
+    Printexc.raise_with_backtrace e bt
+
 (* Level-synchronous BFS until exhaustion or a state satisfying [stop].
    [expand] does the expensive part of a frontier state — [system.next]
    and, under a reduction, the canonization and the whole flood chase —
    and [merge] replays its steps through [enqueue] in frontier order:
    same bound check before each frontier state, same dedup order, same
    stop at the first violation.  Without a pool (or with a pool of one)
-   each state is merged as soon as it is expanded, so no state is
-   expanded once the state bound is passed; with a larger pool a whole
-   level is expanded on the pool (chunked to bound the task count) before
-   its merge.  The outcome is therefore the same with any pool; only
-   wall-clock differs.
+   each state is merged as soon as it is expanded; with a larger pool the
+   level is expanded chunk by chunk through [windowed], so no chunk is
+   submitted once the state bound is passed or a violation found.  The
+   outcome is therefore the same with any pool; only wall-clock differs,
+   and how many states were expanded but never merged (at most a window
+   of chunks).  The keys of merged states are computed by [enqueue], on
+   the calling domain: computed on the workers, they lifted [attack]'s
+   peak resident set by a third (EXPERIMENTS.md E25).
 
    State handoff is synchronized: closures reach workers through the pool's
    queues and successor states return through task results, so per-state
@@ -188,12 +225,10 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
   let search_level =
     match pool with
     | Some pool when Sched.Pool.jobs pool > 1 ->
-      fun level ->
-        Sched.Pool.parallel_map pool
-          (List.map (fun (state, k, depth) -> (k, depth, expand state k)))
-          (chunks pool level)
-        |> List.iter
-             (List.iter (fun (k, depth, steps) -> merge k depth (fun () -> steps)))
+      windowed pool
+        ~expand:(fun (state, k, depth) -> (k, depth, expand state k))
+        ~merge:(fun (k, depth, steps) -> merge k depth (fun () -> steps))
+        ~passed:(fun () -> !states > max_states)
     | _ -> List.iter (fun (state, k, depth) -> merge k depth (fun () -> expand state k))
   in
   try

@@ -92,13 +92,20 @@ val bfs :
 
 (** [par_bfs ?max_states ?max_depth ?reduction ~pool system ~props] is
     {!bfs} on the same engine, with each frontier level expanded on
-    [pool] (chunked over the level) before its merge; a pool of one
-    merges each state as soon as it is expanded, as {!bfs} does.  The
-    outcome — violation, minimal trace, depth, state/transition/pruned
-    counts — does not depend on the pool: it is identical to [bfs] on the
-    same system, bounds and reduction; only [elapsed] differs.
-    [system.next] (and [reduction], if any) must be safe to call
-    concurrently on distinct states. *)
+    [pool] in chunks of at most 32 states: at most [jobs + 1] chunks are
+    in flight, and they are merged one by one in frontier order, each
+    replaced by the next as it is merged.  So the search holds at most
+    that window of expansions, and once a violation is found or the state
+    bound passed it submits no further chunk; the chunks still in flight
+    settle before it returns (or re-raises an exception from
+    [system.next]), leaving the pool idle.  A pool of one merges each
+    state as soon as it is expanded, as {!bfs} does.  The outcome —
+    violation, minimal trace, depth, state/transition/pruned counts —
+    does not depend on the pool: it is identical to [bfs] on the same
+    system, bounds and reduction; only [elapsed] differs.  [system.next]
+    (and [reduction], if any) must be safe to call concurrently on
+    distinct states; [system.key] of the merged states runs on the
+    calling domain. *)
 val par_bfs :
   ?max_states:int ->
   ?max_depth:int ->

@@ -150,32 +150,33 @@ let knowledge st =
     st.kn <- Some k;
     k
 
-let add_run add b r =
-  add b r.who;
-  Buffer.add_char b '-';
-  add b r.peer;
-  Buffer.add_char b '-';
-  add b r.na;
-  Buffer.add_char b '-';
-  match r.nb with None -> Buffer.add_char b '_' | Some n -> add b n
+(* A run, as the chunks [f] receives, each term printed by [term]. *)
+let emit_run term f r =
+  f (term r.who);
+  f "-";
+  f (term r.peer);
+  f "-";
+  f (term r.na);
+  f "-";
+  match r.nb with None -> f "_" | Some n -> f (term n)
 
-let run_str r =
-  let b = Buffer.create 32 in
-  add_run Term.add_to_buffer b r;
-  Buffer.contents b
+let run_str = Analysis.Symmetry.emitted_key (emit_run Term.to_string)
 
-let key st =
-  let add = Tls.Concrete.term_printer () in
-  let b = Buffer.create 256 in
-  TS.iter (add b) st.msgs;
-  Buffer.add_string b "|";
-  TS.iter (add b) st.used;
+(* The state key, as the chunks [f] receives in order: [key] joins them,
+   the canonizer compares them as they come. *)
+let emit_key f st =
+  let term = Tls.Concrete.printed_term () in
+  let add t = f (term t) in
+  TS.iter add st.msgs;
+  f "|";
+  TS.iter add st.used;
   List.iter
     (fun (tag, runs) ->
-      Buffer.add_string b tag;
-      List.iter (add_run add b) runs)
-    [ "|i:", st.istarts; "|r:", st.rruns; "|d:", st.rdones ];
-  Buffer.contents b
+      f tag;
+      List.iter (emit_run term f) runs)
+    [ "|i:", st.istarts; "|r:", st.rruns; "|d:", st.rdones ]
+
+let key = Analysis.Symmetry.emitted_key emit_key
 
 let sorted_runs runs = List.sort (fun r1 r2 -> compare (run_str r1) (run_str r2)) runs
 let send st m = { st with msgs = TS.add m st.msgs; kn = None }
@@ -458,7 +459,7 @@ let reduction ?(por = true) ?(symmetry = true) scen =
          intruder's own nonces are part of its (asymmetric) identity. *)
       Analysis.Symmetry.canonizer
         (Analysis.Symmetry.orbit_elems a.an_sym ~candidates:scen.nonces)
-        ~iter_terms ~remap:remap_state ~key
+        ~iter_terms ~remap:remap_state ~emit:emit_key
     else fun st -> st
   in
   { Mc.ample; canon }

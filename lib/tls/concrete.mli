@@ -63,13 +63,18 @@ type label = { rule : string; args : Term.t list }
     {!Kernel.Term.to_string} of each argument, space-separated. *)
 val pp_label : Format.formatter -> label -> unit
 
-(** [term_printer ()] is {!Kernel.Term.add_to_buffer} for the calling
-    domain, the rendering of each non-constant term memoized by identity
-    in a table of that domain (emptied once it holds 65 536 terms).  The
-    state keys of this model and of {!Nspk} append their terms with it. *)
-val term_printer : unit -> Buffer.t -> Term.t -> unit
+(** [printed_term ()] is {!Kernel.Term.to_string} for the calling domain,
+    the rendering of each non-constant term memoized by identity in a
+    table of that domain (emptied once it holds 65 536 terms).  The state
+    keys of this model and of {!Nspk} are emitted as chunks, each term's
+    chunk taken from it. *)
+val printed_term : unit -> Term.t -> string
 
-(** [system scenario] packages everything for {!Mc.bfs}. *)
+(** [system scenario] packages everything for {!Mc.bfs}.  The state key
+    is written once, as a sequence of chunks (separators, and each term
+    as {!printed_term} renders it); the system's [key] joins them, and
+    {!reduction}'s canonizer compares a state's images as their chunks
+    print, stopping at the first byte that differs. *)
 val system : scenario -> (state, label) Mc.system
 
 (** {1 The paper's properties as state predicates} *)

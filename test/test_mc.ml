@@ -379,6 +379,70 @@ let test_par_bfs_tls () =
     (Lazy.force tls_system_l)
     ~props:[ "cf-authentic", Tls.Concrete.prop_cf_authentic ]
 
+(* A wide toy system: 0 leads to the 2 000 states 1..2000 of level 1,
+   and each state [n] of level 1 to [10_000 * n + 1] and [10_000 * n + 2].
+   [next] counts its calls, on whichever domain runs it. *)
+let wide_system ?(raise_at = -1) calls =
+  {
+    Mc.initial = 0;
+    next =
+      (fun n ->
+        Atomic.incr calls;
+        if n = raise_at then failwith "next failed"
+        else if n = 0 then List.init 2000 (fun i -> "spread", i + 1)
+        else if n <= 2000 then [ "one", (10_000 * n) + 1; "two", (10_000 * n) + 2 ]
+        else []);
+    key = string_of_int;
+  }
+
+(* The violation (state 10 001) is a successor of the first state of level 1,
+   so it lies in the level's first chunk.  [par_bfs] may expand what is in
+   flight when it is found, one window of chunks (mc.mli: at most
+   [jobs + 1] chunks of at most 32 states), but no more of the level. *)
+let test_par_bfs_stops_at_violation () =
+  let props = [ "not-10001", (fun n -> n <> 10_001) ] in
+  let seq_calls = Atomic.make 0 in
+  let seq = Mc.bfs (wide_system seq_calls) ~props in
+  Alcotest.(check int) "bfs expands 0 and 1" 2 (Atomic.get seq_calls);
+  List.iter
+    (fun jobs ->
+      Sched.Pool.with_pool ~jobs @@ fun pool ->
+      let calls = Atomic.make 0 in
+      let par = Mc.par_bfs ~pool (wide_system calls) ~props in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: same outcome and trace" jobs)
+        true
+        (outcome_sig seq = outcome_sig par);
+      let window = (jobs + 1) * 32 in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: %d calls of next <= %d + a window of %d" jobs
+           (Atomic.get calls) (Atomic.get seq_calls) window)
+        true
+        (Atomic.get calls <= Atomic.get seq_calls + window))
+    [ 2; 3 ]
+
+(* An exception raised by [next] in a chunk in the middle of a level
+   leaves [par_bfs] once the chunks in flight have settled, and the pool
+   keeps serving. *)
+let test_par_bfs_next_raises () =
+  List.iter
+    (fun jobs ->
+      Sched.Pool.with_pool ~jobs @@ fun pool ->
+      let system = wide_system ~raise_at:1000 (Atomic.make 0) in
+      (match Mc.par_bfs ~pool system ~props:[ "any", (fun _ -> true) ] with
+      | _ -> Alcotest.fail "expected next's exception"
+      | exception Failure msg ->
+        Alcotest.(check string) (Printf.sprintf "jobs %d: exception" jobs) "next failed" msg);
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: the pool runs a task afterwards" jobs)
+        42
+        (Sched.Pool.run pool (fun () -> 42));
+      check_par_agrees ~jobs
+        (Printf.sprintf "jobs %d: the pool searches afterwards" jobs)
+        (wide_system (Atomic.make 0))
+        ~props:[ "not-10000002", (fun n -> n <> 10_000_002) ])
+    [ 2; 3 ]
+
 let tests =
   [
     "bfs exhausts", `Quick, test_bfs_exhausts;
@@ -402,6 +466,8 @@ let tests =
     "par_bfs lowe attack", `Quick, test_par_bfs_lowe_attack;
     "par_bfs no violation", `Quick, test_par_bfs_no_violation;
     "par_bfs tls 2'", `Quick, test_par_bfs_tls;
+    "par_bfs stops soon after a violation", `Quick, test_par_bfs_stops_at_violation;
+    "par_bfs propagates an exception from next", `Quick, test_par_bfs_next_raises;
   ]
 
 let suite = "model-checker", tests

@@ -20,9 +20,11 @@
    rule, the first state of a complete handshake together with its
    successors (sessions on both sides, and leaked session keys), once as
    the scenario draws its rands and once with the rands drawn in another
-   order, which canonization must undo.  A last test runs the canonizer
+   order, which canonization must undo.  A property runs the canonizer
    on random lists of terms, where pool constants also occur only below
-   the top of a term. *)
+   the top of a term, and a last one checks the comparison the canonizer
+   makes as an image's key is emitted, chunk by chunk, against
+   [String.compare] of the joined chunks. *)
 
 (* ------------------------------------------------------------------ *)
 (* Reference canonizer                                                 *)
@@ -271,15 +273,60 @@ let prop_canonizer_on_term_lists =
       pair (int_range 0 4) (list_size (int_bound 5) term))
   in
   let key st = String.concat "\n" (List.map Term.to_string st) in
+  let emit f st = List.iteri (fun i t -> if i > 0 then f "\n"; f (Term.to_string t)) st in
   let print (n, st) = Printf.sprintf "pool %d: %s" n (key st) in
   QCheck.Test.make ~name:"canonizer matches the reference on term lists" ~count:500
     (QCheck.make ~print gen)
     (fun (n, st) ->
       let pool = List.filteri (fun i _ -> i < n) pool in
       let canon =
-        Analysis.Symmetry.canonizer pool ~iter_terms:List.iter ~remap:List.map ~key
+        Analysis.Symmetry.canonizer pool ~iter_terms:List.iter ~remap:List.map ~emit
       in
       String.equal (key (canon st)) (key (ref_canon pool ~remap:List.map ~key st)))
+
+(* The canonizer compares each image's key, as the model emits it chunk
+   by chunk, against the best key so far.  That must be [String.compare]
+   of the joined chunks: random splits (empty chunks included) of strings
+   over the separators the keys use, against an unrelated string, the
+   same string, one byte changed, a proper prefix, or an extension. *)
+let prop_compare_emitted =
+  let gen =
+    QCheck.Gen.(
+      let str = string_size ~gen:(oneofl [ 'a'; 'b'; '\n'; '|'; ','; '\xff' ]) (int_bound 10) in
+      let* s = str in
+      let len = String.length s in
+      let* k =
+        oneof
+          [
+            str;
+            return s;
+            map2
+              (fun i c ->
+                if len = 0 then String.make 1 c
+                else String.mapi (fun j x -> if j = i mod len then c else x) s)
+              nat (oneofl [ 'a'; '|'; '\xff' ]);
+            map (fun n -> String.sub s 0 (n mod (len + 1))) nat;
+            map (fun t -> s ^ t) str;
+          ]
+      in
+      let* cuts = list_size (int_bound 6) (int_bound len) in
+      let cuts = List.sort compare cuts in
+      let chunks, last =
+        List.fold_left
+          (fun (acc, from) cut -> (String.sub s from (cut - from) :: acc, cut))
+          ([], 0) cuts
+      in
+      return (List.rev (String.sub s last (len - last) :: chunks), k))
+  in
+  let print (chunks, k) =
+    Printf.sprintf "chunks [%s] against %S" (String.concat "; " (List.map (Printf.sprintf "%S") chunks)) k
+  in
+  QCheck.Test.make ~name:"emitted keys compare as their joined strings" ~count:2000
+    (QCheck.make ~print gen)
+    (fun (chunks, k) ->
+      Int.equal
+        (Analysis.Symmetry.compare_emitted List.iter chunks k)
+        (String.compare (String.concat "" chunks) k))
 
 let tests =
   [
@@ -288,6 +335,7 @@ let tests =
     "oops states cover sessions and leaks", `Quick, test_oops_states_cover_sessions;
     "canon matches the reference orbit minimum", `Quick, test_canon_matches_reference;
     QCheck_alcotest.to_alcotest prop_canonizer_on_term_lists;
+    QCheck_alcotest.to_alcotest prop_compare_emitted;
   ]
 
 let suite = "mc-keys", tests
