@@ -22,31 +22,6 @@ module Exit = Telemetry.Cli.Exit
 
 let usage = "check FILE [--json] [--jobs N] [--profile] [--trace-out OUT]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let chunks_of n xs =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if k = n then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 xs
-
-type job = Jlpo | Jred of Certify.Cert.red list | Jjoin of Certify.Cert.join list
-
 let () =
   let json = ref false in
   let jobs = ref 1 in
@@ -90,58 +65,37 @@ let () =
       exit Exit.usage
   in
   let t0 = Sys.time () in
-  let njobs = !jobs * 4 in
-  let nred = List.length cert.Certify.Cert.reds in
-  let chunk = max 1 ((nred + njobs - 1) / njobs) in
-  let work =
-    (if cert.Certify.Cert.lpo = None then [] else [ Jlpo ])
-    @ List.map (fun rs -> Jred rs) (chunks_of chunk cert.Certify.Cert.reds)
-    @ match cert.Certify.Cert.joins with [] -> [] | js -> [ Jjoin js ]
-  in
   Telemetry.Cli.setup ~profile:!profile ~trace_out:!trace_out ();
-  let run job =
-    let label =
-      match job with
-      | Jlpo -> "lpo"
-      | Jred rs -> Printf.sprintf "reds[%d]" (List.length rs)
-      | Jjoin js -> Printf.sprintf "joins[%d]" (List.length js)
+  let map replay_job work =
+    let run job =
+      Telemetry.Probe.with_span ~always:true ~cat:"check"
+        (Certify.Check.job_label job) (fun () -> replay_job job)
     in
-    Telemetry.Probe.with_span ~always:true ~cat:"check" label @@ fun () ->
-    (* one checker per chunk: the memo tables are single-domain *)
-    let ck = Certify.Check.create cert in
-    let errs =
-      match job with
-      | Jlpo -> Certify.Check.check_lpo ck
-      | Jred rs -> List.filter_map (Certify.Check.check_red ck) rs
-      | Jjoin js -> List.filter_map (Certify.Check.check_join ck) js
-    in
-    (errs, Certify.Check.steps_validated ck)
-  in
-  let results =
     if !jobs = 1 then List.map run work
     else Sched.Pool.with_pool ~jobs:!jobs (fun pool -> Sched.Pool.parallel_map pool run work)
   in
+  let errors, steps = Certify.Check.replay ~chunks:(!jobs * 4) ~map cert in
   Telemetry.Cli.flush ~process_name:"check" ~profile:!profile
     ~trace_out:!trace_out ();
-  let errors = List.concat_map fst results in
-  let steps = List.fold_left (fun acc (_, s) -> acc + s) 0 results in
   let dt = Sys.time () -. t0 in
+  let nred = List.length cert.Certify.Cert.reds in
   let njoin = List.length cert.Certify.Cert.joins in
   let has_lpo = cert.Certify.Cert.lpo <> None in
   if !json then begin
+    let esc = Telemetry.Flight.json_escape in
     let b = Buffer.create 1024 in
     Buffer.add_string b
       (Printf.sprintf
          "{\"file\":\"%s\",\"ok\":%b,\"reds\":%d,\"joins\":%d,\"lpo\":%b,\
           \"steps_replayed\":%d,\"cert_bytes\":%d,\"check_ms\":%.1f,\"errors\":["
-         (json_escape !file) (errors = []) nred njoin has_lpo steps
+         (esc !file) (errors = []) nred njoin has_lpo steps
          (String.length contents) (dt *. 1000.));
     List.iteri
       (fun i (e : Certify.Check.error) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
-          (Printf.sprintf "{\"path\":\"%s\",\"msg\":\"%s\"}" (json_escape e.e_path)
-             (json_escape e.e_msg)))
+          (Printf.sprintf "{\"path\":\"%s\",\"msg\":\"%s\"}" (esc e.e_path)
+             (esc e.e_msg)))
       errors;
     Buffer.add_string b "]}";
     print_endline (Buffer.contents b)

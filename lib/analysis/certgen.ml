@@ -237,9 +237,8 @@ let cert b =
   { C.reds = List.rev b.reds; lpo = b.lpo; joins = List.rev b.joins }
 
 (* ------------------------------------------------------------------ *)
-(* Pool-chunked checking.  Each chunk gets its own checker (the memo
-   tables are not thread-safe); the LPO obligation rides with the first
-   chunk. *)
+(* Pool-chunked checking: four chunks of reds per pool domain, or one
+   without a pool. *)
 
 type check_result = {
   errors : Certify.Check.error list;
@@ -247,46 +246,16 @@ type check_result = {
   steps_replayed : int;
 }
 
-let chunks_of n xs =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-      if k = n then go (List.rev cur :: acc) [ x ] 1 rest
-      else go acc (x :: cur) (k + 1) rest
-  in
-  go [] [] 0 xs
-
-type job =
-  | Jlpo
-  | Jred of C.red list
-  | Jjoin of C.join list
-
 let check ?pool (c : C.t) : check_result =
-  let njobs = match pool with Some p -> Sched.Pool.jobs p * 4 | None -> 1 in
-  let nred = List.length c.C.reds in
-  let chunk = max 1 ((nred + njobs - 1) / njobs) in
-  let jobs =
-    (if c.C.lpo = None then [] else [ Jlpo ])
-    @ List.map (fun rs -> Jred rs) (chunks_of chunk c.C.reds)
-    @ match c.C.joins with [] -> [] | js -> [ Jjoin js ]
-  in
-  let run job =
-    let ck = Certify.Check.create c in
-    let errs =
-      match job with
-      | Jlpo -> Certify.Check.check_lpo ck
-      | Jred rs -> List.filter_map (Certify.Check.check_red ck) rs
-      | Jjoin js -> List.filter_map (Certify.Check.check_join ck) js
-    in
-    (errs, Certify.Check.steps_validated ck)
-  in
-  let results =
+  let errors, steps_replayed =
     match pool with
-    | None -> List.map run jobs
-    | Some p -> Sched.Pool.parallel_map p run jobs
+    | None -> Certify.Check.replay ~chunks:1 ~map:List.map c
+    | Some p ->
+      Certify.Check.replay ~chunks:(Sched.Pool.jobs p * 4)
+        ~map:(Sched.Pool.parallel_map p) c
   in
   {
-    errors = List.concat_map fst results;
-    obligations = nred + List.length c.C.joins;
-    steps_replayed = List.fold_left (fun acc (_, s) -> acc + s) 0 results;
+    errors;
+    obligations = List.length c.C.reds + List.length c.C.joins;
+    steps_replayed;
   }

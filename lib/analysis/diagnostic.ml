@@ -45,22 +45,8 @@ let pp ppf d =
 (* ------------------------------------------------------------------ *)
 (* JSON — hand-rolled, the repo has no JSON dependency. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
+  let json_escape = Telemetry.Flight.json_escape in
   let pos =
     match d.pos with
     | Some (l, c) -> Printf.sprintf {|, "line": %d, "col": %d|} l c

@@ -41,7 +41,3 @@ val pp : Format.formatter -> t -> unit
 (** One JSON object, e.g.
     [{"severity": "error", "checker": "termination", ...}]. *)
 val to_json : t -> string
-
-(** Escape a string for embedding in a JSON literal (shared by the CLI's
-    report writer). *)
-val json_escape : string -> string

@@ -39,6 +39,14 @@ let recognize_rule (r : Rewrite.rule) =
 let frame oe =
   Term.app_unchecked oe.oe_obs (Term.var oe.oe_state.Term.v_name oe.oe_state.Term.v_sort :: oe.oe_params)
 
+let observers eqs =
+  List.fold_left
+    (fun acc oe ->
+      if List.exists (Signature.op_equal oe.oe_obs) acc then acc
+      else oe.oe_obs :: acc)
+    [] eqs
+  |> List.rev
+
 (* Observers [o'(S, ...)] read anywhere inside [t]. *)
 let reads_of ~observers ~state t =
   List.filter_map
@@ -58,14 +66,7 @@ let check spec =
     Cafeobj.Spec.pos_of spec ("eq:" ^ r.Rewrite.label)
   in
   let obs_eqs = List.filter_map recognize_rule own in
-  let observers =
-    List.fold_left
-      (fun acc oe ->
-        if List.exists (Signature.op_equal oe.oe_obs) acc then acc
-        else oe.oe_obs :: acc)
-      [] obs_eqs
-    |> List.rev
-  in
+  let observers = observers obs_eqs in
   let diags = ref [] in
   let diag ?pos severity code msg =
     diags :=

@@ -57,6 +57,10 @@ val recognize_rule : Kernel.Rewrite.rule -> obs_eq option
     pre-state with the same parameters. *)
 val frame : obs_eq -> Kernel.Term.t
 
+(** [observers eqs] is the distinct observers of [eqs], in order of first
+    appearance. *)
+val observers : obs_eq list -> Kernel.Signature.op list
+
 val check : Cafeobj.Spec.t -> result
 
 (** Graphviz rendering of the action dependency graph. *)

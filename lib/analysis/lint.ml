@@ -332,14 +332,14 @@ let report_to_json r =
             \"terminating\": %s, \"critical_pairs\": %s, \"joinable\": %s, \
             \"semantic_joins\": %s, \"secrecy\": %s, \"transitions\": %s, \
             \"independent_pairs\": %s, \"action_pairs\": %s}%s\n"
-           (Diagnostic.json_escape m.m_name)
-           (Diagnostic.json_escape m.m_source)
+           (Telemetry.Flight.json_escape m.m_name)
+           (Telemetry.Flight.json_escape m.m_source)
            m.m_rules
            (opt_bool m.m_terminating)
            (opt_int m.m_pairs) (opt_bool m.m_joinable)
            (opt_int m.m_semantic_joins)
            (match m.m_secrecy with
-           | Some v -> Printf.sprintf "\"%s\"" (Diagnostic.json_escape v)
+           | Some v -> Printf.sprintf "\"%s\"" (Telemetry.Flight.json_escape v)
            | None -> "null")
            (opt_int m.m_transitions)
            (opt_int (Option.map fst m.m_independent))

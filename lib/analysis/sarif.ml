@@ -1,4 +1,4 @@
-let esc = Diagnostic.json_escape
+let esc = Telemetry.Flight.json_escape
 
 let level_of = function
   | Diagnostic.Error -> "error"

@@ -39,13 +39,6 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Recognizing the OTS view of a spec *)
 
-(* One observer equation [obs(action(S, xs), ys) = rhs]. *)
-type obs_eq = {
-  oe_rule : Rewrite.rule;
-  oe_obs : Signature.op;
-  oe_state : Term.var;
-}
-
 (* One defining rule of a collector predicate [m(x, container)]. *)
 type coll_rule = {
   cr_rule : Rewrite.rule;
@@ -65,20 +58,8 @@ type view = {
   v_gleaners : (Signature.op * coll_rule list) list;
   v_shapes : (Signature.op * Signature.op) list;
       (* shape predicate -> the constructor it accepts *)
-  v_obs_eqs : obs_eq list;
+  v_obs_eqs : Flow.obs_eq list;
 }
-
-let recognize_obs_eq (r : Rewrite.rule) =
-  match Term.view r.Rewrite.lhs with
-  | Term.App (obs, inner :: _) -> (
-    match Term.view inner with
-    | Term.App (act, s :: _) when act.Signature.sort.Sort.hidden -> (
-      match Term.view s with
-      | Term.Var v when v.Term.v_sort.Sort.hidden ->
-        Some { oe_rule = r; oe_obs = obs; oe_state = v }
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
 
 let ctors_of spec srt =
   List.filter
@@ -215,13 +196,6 @@ let shape_preds rules =
   |> List.sort (fun ((a : Signature.op), _) ((b : Signature.op), _) ->
          Int.compare a.Signature.index b.Signature.index)
 
-let frame_of oe =
-  match Term.view oe.oe_rule.Rewrite.lhs with
-  | Term.App (obs, _ :: ys) ->
-    Term.app_unchecked obs
-      (Term.var oe.oe_state.Term.v_name oe.oe_state.Term.v_sort :: ys)
-  | _ -> assert false
-
 (* The if-then-else leaves of [t] with their path conditions. *)
 let leaves_of t =
   let rec go conds t acc =
@@ -242,17 +216,10 @@ let read_of ~observers ~state t =
 
 let recognize ~network spec =
   let rules = Spec.all_rules spec in
-  let obs_eqs = List.filter_map recognize_obs_eq (Spec.own_rules spec) in
+  let obs_eqs = List.filter_map Flow.recognize_rule (Spec.own_rules spec) in
   if obs_eqs = [] then Error "no observational transition rules"
   else
-    let observers =
-      List.fold_left
-        (fun acc oe ->
-          if List.exists (Signature.op_equal oe.oe_obs) acc then acc
-          else oe.oe_obs :: acc)
-        [] obs_eqs
-      |> List.rev
-    in
+    let observers = Flow.observers obs_eqs in
     match
       List.find_opt
         (fun (o : Signature.op) -> String.equal o.Signature.name network)
@@ -290,11 +257,11 @@ let recognize ~network spec =
             (fun (o : Signature.op) ->
               (not (Signature.op_equal o net))
               && List.exists
-                   (fun oe ->
+                   (fun (oe : Flow.obs_eq) ->
                      Signature.op_equal oe.oe_obs o
                      && List.exists
                           (fun (_, leaf) ->
-                            (not (Term.equal leaf (frame_of oe)))
+                            (not (Term.equal leaf (Flow.frame oe)))
                             && read_of ~observers
                                  ~state:
                                    (Term.var oe.oe_state.Term.v_name
@@ -524,10 +491,10 @@ let rec chain_elems ~cons t =
 
 let transition_clauses view =
   List.concat_map
-    (fun oe ->
+    (fun (oe : Flow.obs_eq) ->
       let r = oe.oe_rule in
       let state = Term.var oe.oe_state.Term.v_name oe.oe_state.Term.v_sort in
-      let frame = frame_of oe in
+      let frame = Flow.frame oe in
       let is_net = Signature.op_equal oe.oe_obs view.v_net in
       let is_store =
         List.exists (Signature.op_equal oe.oe_obs) view.v_stored

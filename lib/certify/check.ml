@@ -655,3 +655,47 @@ let check_all ck : error list =
   let red_errs = List.filter_map (check_red ck) ck.cert.C.reds in
   let join_errs = List.filter_map (check_join ck) ck.cert.C.joins in
   lpo_errs @ red_errs @ join_errs
+
+(* ------------------------------------------------------------------ *)
+(* Chunked replay.  Each job gets its own checker (the memo tables are
+   single-domain), so a chunk re-validates the sub-derivations it shares
+   with another chunk: the verdict does not depend on the chunking, the
+   step count does. *)
+
+type job = Jlpo | Jred of C.red list | Jjoin of C.join list
+
+let job_label = function
+  | Jlpo -> "lpo"
+  | Jred rs -> Printf.sprintf "reds[%d]" (List.length rs)
+  | Jjoin js -> Printf.sprintf "joins[%d]" (List.length js)
+
+let chunks_of n xs =
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+      if k = n then go (List.rev cur :: acc) [ x ] 1 rest
+      else go acc (x :: cur) (k + 1) rest
+  in
+  go [] [] 0 xs
+
+let run_job cert job =
+  let ck = create cert in
+  let errs =
+    match job with
+    | Jlpo -> check_lpo ck
+    | Jred rs -> List.filter_map (check_red ck) rs
+    | Jjoin js -> List.filter_map (check_join ck) js
+  in
+  (errs, ck.steps_validated)
+
+let replay ~chunks ~map (cert : C.t) =
+  let nred = List.length cert.C.reds in
+  let chunk = max 1 ((nred + chunks - 1) / chunks) in
+  let jobs =
+    (if cert.C.lpo = None then [] else [ Jlpo ])
+    @ List.map (fun rs -> Jred rs) (chunks_of chunk cert.C.reds)
+    @ match cert.C.joins with [] -> [] | js -> [ Jjoin js ]
+  in
+  let results = map (run_job cert) jobs in
+  ( List.concat_map fst results,
+    List.fold_left (fun acc (_, s) -> acc + s) 0 results )

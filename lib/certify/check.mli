@@ -33,14 +33,29 @@ val create : Cert.t -> t
     rejections, most with positioned breadcrumb paths. *)
 val check_all : t -> error list
 
-(** Per-obligation entry points for pool-chunked callers. [None] means the
-    obligation validated. *)
-
-val check_red : t -> Cert.red -> error option
-
-val check_join : t -> Cert.join -> error option
-
-val check_lpo : t -> error list
-
 (** Number of rule-application steps successfully replayed so far. *)
 val steps_validated : t -> int
+
+(** {1 Chunked replay}
+
+    The plan every caller that spreads a certificate over domains shares:
+    one job for the LPO obligation, the reds in [chunks] slices of about
+    equal length, and one job for all joins.  Each job replays on a fresh
+    checker, so the verdict does not depend on [chunks] but the step count
+    does (a chunk re-validates the sub-derivations it shares with
+    another). *)
+
+type job
+
+(** e.g. ["lpo"], ["reds[646]"], ["joins[4386]"] — for tracing spans. *)
+val job_label : job -> string
+
+(** [replay ~chunks ~map cert] runs every job through [map] and returns
+    the rejections, in job order, and the steps replayed.  [map f jobs]
+    must return the results of [f] in the order of [jobs] — [List.map], or
+    a pool's order-preserving parallel map. *)
+val replay :
+  chunks:int ->
+  map:((job -> error list * int) -> job list -> (error list * int) list) ->
+  Cert.t ->
+  error list * int

@@ -51,8 +51,18 @@ let traced_cert () =
 
 let check_errors cert = Certify.Check.create cert |> Certify.Check.check_all
 
+(* A forgery must be rejected by one checker over the whole certificate
+   and, with the same diagnostics, by the chunked replay plan that
+   Certgen.check and check.exe share, whatever the chunk count. *)
 let expect_reject what cert ~path ~msg =
-  match check_errors cert with
+  let errors = check_errors cert in
+  List.iter
+    (fun chunks ->
+      if fst (Certify.Check.replay ~chunks ~map:List.map cert) <> errors then
+        Alcotest.failf "%s: replay in %d chunk(s) disagrees with check_all" what
+          chunks)
+    [ 1; 2; 3 ];
+  match errors with
   | [] -> Alcotest.failf "%s: tampered certificate was accepted" what
   | e :: _ ->
     let contains hay needle =

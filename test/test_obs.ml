@@ -350,6 +350,21 @@ let test_log_fields_and_escaping () =
       "\"b\":true";
     ]
 
+(* The one JSON string escaper every report writer calls (logs, flight
+   dumps, Perfetto traces, lint JSON and SARIF, check --json, bench --json),
+   pinned byte for byte: every ASCII byte, then UTF-8 text, which passes
+   through untouched. *)
+let test_json_escape_golden () =
+  Alcotest.(check string) "bytes 0x00-0x7f"
+    "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\u000d\\u000e\\u000f\
+     \\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\
+     \032!\\\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\127"
+    (Flight.json_escape (String.init 128 Char.chr));
+  Alcotest.(check string) "UTF-8"
+    "h\195\169llo \226\136\128x. \194\172\207\134 \240\159\148\144 \\\"q\\\"\\n"
+    (Flight.json_escape
+       "h\xc3\xa9llo \xe2\x88\x80x. \xc2\xac\xcf\x86 \xf0\x9f\x94\x90 \"q\"\n")
+
 let test_log_rotation () =
   with_log_sink ~rotate_bytes:256 Log.Debug @@ fun path ->
   for i = 1 to 50 do
@@ -458,6 +473,8 @@ let tests =
       Alcotest.test_case "log: level threshold" `Quick test_log_levels;
       Alcotest.test_case "log: fields and escaping" `Quick
         test_log_fields_and_escaping;
+      Alcotest.test_case "json escape: ASCII and UTF-8 golden" `Quick
+        test_json_escape_golden;
       Alcotest.test_case "log: size-based rotation" `Quick test_log_rotation;
       Alcotest.test_case "log: tees into the flight recorder" `Quick
         test_log_tees_into_flight;

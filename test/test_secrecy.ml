@@ -65,6 +65,15 @@ let test_tls_secure () =
            r.Analysis.Secrecy.r_queries))
     [ Tls.Model.Original; Tls.Model.Cf2First ]
 
+(* The Horn translation of the generated TLS spec, pinned: a change to how
+   the OTS view is recognized or compiled into clauses moves these counts. *)
+let test_tls_horn_counts () =
+  let r = Lazy.force tls_result in
+  Alcotest.(check (list int)) "clauses, facts, rounds, resolutions"
+    [ 38; 26; 35; 163 ]
+    Analysis.Secrecy.
+      [ r.r_clauses; r.r_facts; r.r_rounds; r.r_resolutions ]
+
 let test_non_protocol_not_applicable () =
   let m =
     eval_module
@@ -322,6 +331,7 @@ let suite =
   ( "secrecy",
     [
       "tls handshake proven secure", `Quick, test_tls_secure;
+      "tls horn translation counts", `Quick, test_tls_horn_counts;
       "non-protocol spec is n/a", `Quick, test_non_protocol_not_applicable;
       "leaky golden witness", `Quick, test_leaky_golden_witness;
       "leaky witness replays + certifies", `Quick, test_leaky_replay;
