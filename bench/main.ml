@@ -475,40 +475,42 @@ let with_daemon name ~config_f f =
 
 (* Two resident servers, identical except for the observability surface:
    one dark (no exporter, no log, no flight recorder), one with everything
-   on.  The warm round-trip medians bound what a production deployment
-   pays per request for being observable; the scrape and p99 come from the
+   on.  Both run at once and their warm round trips alternate, round by
+   round and in alternating order, as E20's arms do: load that comes and
+   goes on the machine then moves both arms alike.  The log threshold and
+   the flight recorder are process-wide, so each round first sets them to
+   its arm's setting; the exporter and the request ids belong to the lit
+   daemon alone.  The medians bound what a production deployment pays per
+   request for being observable; the scrape and p99 come from the
    instrumented server itself. *)
 let observability _pool =
   let module P = Server.Protocol in
-  let warm_median ?id socket =
-    let req =
-      P.Verify
-        {
-          style = P.Original;
-          only = [ "inv1" ];
-          negative = false;
-          extensions = false;
-          certify = false;
-        }
-    in
-    let round () =
-      let t0 = Unix.gettimeofday () in
-      let _, code =
-        Server.Client.with_client ~socket (fun c ->
-            Server.Client.request_collect ?id c req)
-      in
-      if code <> 0 then failwith "bench: obs round-trip failed";
-      (Unix.gettimeofday () -. t0) *. 1000.
-    in
-    ignore (round ());
-    (* cold: prove once, then measure the cached repeats *)
-    median (List.init 120 (fun _ -> round ()))
+  let req =
+    P.Verify
+      {
+        style = P.Original;
+        only = [ "inv1" ];
+        negative = false;
+        extensions = false;
+        certify = false;
+      }
   in
-  let dark_ms = with_daemon "dark" ~config_f:(fun c -> c) (fun s -> warm_median s) in
+  let round ~observed ?id socket =
+    Telemetry.Log.set_level (if observed then Some Telemetry.Log.Info else None);
+    Telemetry.Flight.set_enabled observed;
+    let t0 = Unix.gettimeofday () in
+    let _, code =
+      Server.Client.with_client ~socket (fun c ->
+          Server.Client.request_collect ?id c req)
+    in
+    if code <> 0 then failwith "bench: obs round-trip failed";
+    (Unix.gettimeofday () -. t0) *. 1000.
+  in
   let port = Atomic.make 0 in
   let log_tmp = Filename.temp_file "eqtls-bench-obs" ".log" in
   let scrape_ms = ref 0. and p99_ms = ref 0. in
-  let lit_ms =
+  let dark_ms, lit_ms =
+    with_daemon "dark" ~config_f:(fun c -> c) @@ fun dark_socket ->
     with_daemon "lit"
       ~config_f:(fun c ->
         {
@@ -519,35 +521,49 @@ let observability _pool =
           log_level = Some Telemetry.Log.Info;
           flight_path = Some (c.Server.Daemon.socket ^ ".flight.json");
         })
-      (fun socket ->
-        let ms = warm_median ~id:"bench-obs" socket in
-        (* scrape the OpenMetrics endpoint the way Prometheus would *)
-        let scrape () =
-          let t0 = Unix.gettimeofday () in
-          let ic, oc =
-            Unix.open_connection
-              (ADDR_INET (Unix.inet_addr_loopback, Atomic.get port))
-          in
-          output_string oc
-            "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-          flush oc;
-          let body = In_channel.input_all ic in
-          close_out oc;
-          if body = "" then failwith "bench: empty scrape";
-          (Unix.gettimeofday () -. t0) *. 1000.
-        in
-        scrape_ms := median (List.init 20 (fun _ -> scrape ()));
-        (* the server's own latency distribution, from its always-on
-           histograms (p99 is the log2-bucket upper bound) *)
-        ignore
-          (Server.Client.with_client ~socket (fun c ->
-               Server.Client.request c P.Metrics ~on_response:(function
-                 | P.Rmetrics { histograms; _ } -> (
-                   match List.assoc_opt "server.request_latency" histograms with
-                   | Some a when Array.length a = 6 -> p99_ms := a.(4)
-                   | _ -> ())
-                 | _ -> ())));
-        ms)
+    @@ fun socket ->
+    let dark () = round ~observed:false dark_socket in
+    let lit () = round ~observed:true ~id:"bench-obs" socket in
+    (* cold: prove once on each, then measure the cached repeats *)
+    ignore (dark ());
+    ignore (lit ());
+    let arms =
+      List.init 120 (fun i ->
+          if i land 1 = 0 then
+            let d = dark () in
+            d, lit ()
+          else
+            let l = lit () in
+            dark (), l)
+    in
+    (* scrape the OpenMetrics endpoint the way Prometheus would *)
+    let scrape () =
+      let t0 = Unix.gettimeofday () in
+      let ic, oc =
+        Unix.open_connection (ADDR_INET (Unix.inet_addr_loopback, Atomic.get port))
+      in
+      output_string oc
+        "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
+      flush oc;
+      let body = In_channel.input_all ic in
+      close_out oc;
+      if body = "" then failwith "bench: empty scrape";
+      (Unix.gettimeofday () -. t0) *. 1000.
+    in
+    scrape_ms := median (List.init 20 (fun _ -> scrape ()));
+    (* the server's own latency distribution, from its always-on
+       histograms (p99 is the log2-bucket upper bound) *)
+    ignore
+      (Server.Client.with_client ~socket (fun c ->
+           Server.Client.request c P.Metrics ~on_response:(function
+             | P.Rmetrics { histograms; _ } -> (
+               match List.assoc_opt "server.request_latency" histograms with
+               | Some a when Array.length a = 6 -> p99_ms := a.(4)
+               | _ -> ())
+             | _ -> ())));
+    (* the daemons' shutdowns log nothing *)
+    Telemetry.Log.set_level None;
+    median (List.map fst arms), median (List.map snd arms)
   in
   Telemetry.Log.set_level None;
   (try Sys.remove log_tmp with Sys_error _ -> ());

@@ -100,21 +100,25 @@ let atom r =
     String.sub s start (!i - start)
   end
   else begin
-    let buf = Buffer.create 16 in
+    let buf = Buffer.create 64 in
+    (* [i] starts a run of characters that stand for themselves, copied
+       in one piece up to the next quote or escape *)
     let rec go i =
-      if i >= n then fail start "unterminated string"
-      else
-        match s.[i] with
-        | '"' ->
-          r.pos <- i + 1;
-          Buffer.contents buf
-        | '\\' ->
-          if i + 1 >= n then fail start "unterminated escape";
-          Buffer.add_char buf (match s.[i + 1] with 'n' -> '\n' | 't' -> '\t' | c -> c);
-          go (i + 2)
-        | c ->
-          Buffer.add_char buf c;
-          go (i + 1)
+      let j = ref i in
+      while !j < n && s.[!j] <> '"' && s.[!j] <> '\\' do
+        incr j
+      done;
+      if !j >= n then fail start "unterminated string";
+      Buffer.add_substring buf s i (!j - i);
+      if s.[!j] = '"' then begin
+        r.pos <- !j + 1;
+        Buffer.contents buf
+      end
+      else begin
+        if !j + 1 >= n then fail start "unterminated escape";
+        Buffer.add_char buf (match s.[!j + 1] with 'n' -> '\n' | 't' -> '\t' | c -> c);
+        go (!j + 2)
+      end
     in
     go (start + 1)
   end
