@@ -289,19 +289,12 @@ let () =
     Format.printf "@.--- proof certificate ---@.";
     let spec = Tls.Model.spec style in
     let t0 = Unix.gettimeofday () in
-    let b = Analysis.Certgen.create () in
-    Analysis.Certgen.add_obligations b (Kernel.Rewrite.obligations tr);
-    let term = Analysis.Termination.check spec in
-    if term.Analysis.Termination.certified then
-      Analysis.Certgen.add_lpo b
-        ~precedence:term.Analysis.Termination.search.Kernel.Order.precedence
-        (Cafeobj.Spec.all_rules spec)
-    else Format.printf "certify: no LPO certificate (termination search failed)@.";
-    let conf = Analysis.Confluence.check ~pool ~certify:true spec in
-    Analysis.Certgen.add_joins b
-      ~rules:(Cafeobj.Spec.all_rules spec)
-      conf.Analysis.Confluence.certs;
-    let cert = Analysis.Certgen.cert b in
+    let static = Analysis.Certgen.static_evidence ~pool spec in
+    if static.Analysis.Certgen.precedence = None then
+      Format.printf "certify: no LPO certificate (termination search failed)@.";
+    let cert =
+      Analysis.Certgen.campaign spec static (Kernel.Rewrite.obligations tr)
+    in
     let produce_s = Unix.gettimeofday () -. t0 in
     let bytes =
       if !certify_out = "" then String.length (Certify.Cert.to_string cert)

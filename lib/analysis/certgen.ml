@@ -237,6 +237,33 @@ let cert b =
   { C.reds = List.rev b.reds; lpo = b.lpo; joins = List.rev b.joins }
 
 (* ------------------------------------------------------------------ *)
+(* A campaign's certificate: its traced reds plus the spec's static
+   evidence, which depends on the spec alone. *)
+
+type static = {
+  precedence : Signature.op list option;
+  joins : (Completion.overlap * Confluence.jcert) list;
+}
+
+let static_evidence ?pool spec =
+  let term = Termination.check spec in
+  {
+    precedence =
+      (if term.Termination.certified then
+         Some term.Termination.search.Order.precedence
+       else None);
+    joins = (Confluence.check ?pool ~certify:true spec).Confluence.certs;
+  }
+
+let campaign spec (st : static) obligations =
+  let b = create () in
+  let rules = Cafeobj.Spec.all_rules spec in
+  add_obligations b obligations;
+  Option.iter (fun precedence -> add_lpo b ~precedence rules) st.precedence;
+  add_joins b ~rules st.joins;
+  cert b
+
+(* ------------------------------------------------------------------ *)
 (* Pool-chunked checking: four chunks of reds per pool domain, or one
    without a pool. *)
 

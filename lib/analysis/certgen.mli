@@ -35,6 +35,25 @@ val add_joins :
 (** [cert b] assembles the certificate (insertion order preserved). *)
 val cert : t -> Certify.Cert.t
 
+(** {1 Campaign certificates} *)
+
+(** The evidence a campaign certificate takes from its spec alone: the
+    LPO precedence of a certified termination search ([None] when the
+    search failed) and a join certificate per critical pair. *)
+type static = {
+  precedence : Signature.op list option;
+  joins : (Completion.overlap * Confluence.jcert) list;
+}
+
+(** [static_evidence ?pool spec] runs {!Termination.check} and
+    [Confluence.check ~certify:true] (chunked over [pool] when given). *)
+val static_evidence : ?pool:Sched.Pool.t -> Cafeobj.Spec.t -> static
+
+(** [campaign spec st obligations] is the certificate of a traced
+    campaign over [spec]: its reds, then [st]'s LPO and joins, scoped to
+    the spec's full rule list. *)
+val campaign : Cafeobj.Spec.t -> static -> Rewrite.obligation list -> Certify.Cert.t
+
 (** {1 Chunked checking} *)
 
 type check_result = {

@@ -1159,14 +1159,13 @@ let replay spec leak =
       end
     in
     let tr = Rewrite.tracer () in
-    Rewrite.set_tracer (Some tr);
     let outcome =
+      Rewrite.with_tracer tr @@ fun () ->
       match play leak.l_fact root_instance with
       | () -> Ok ()
       | exception Replay_failed msg -> Error msg
       | exception Rewrite.Limit_exceeded _ -> Error "rewrite limit exceeded"
     in
-    Rewrite.set_tracer None;
     let b = Certgen.create () in
     Certgen.add_obligations b (Rewrite.obligations tr);
     let cert_res = Certgen.check (Certgen.cert b) in

@@ -412,3 +412,42 @@ let check spec sexp =
       Ok !classes_seen
     | _ -> Error "not-a-symmetry-cert"
   with Reject why -> Error why
+
+(* ------------------------------------------------------------------ *)
+(* The static basis of a model checker's reduction *)
+
+type basis = {
+  b_ample : string list;
+  b_indep : Indep.result option;
+  b_sym : result;
+}
+
+let reduction_basis ~classes spec_of =
+  let memo = Hashtbl.create 2 in
+  fun k ->
+    match Hashtbl.find_opt memo k with
+    | Some b -> b
+    | None ->
+      let classes = classes k and spec = spec_of k in
+      let focus = List.concat_map snd classes in
+      let indep = Indep.analyze ~focus spec in
+      let ample =
+        match indep with
+        | None -> []
+        | Some r ->
+          let certified = Indep.certified_ample r focus in
+          List.filter_map
+            (fun (rule, acts) ->
+              if List.for_all (fun a -> List.mem a certified) acts then Some rule
+              else None)
+            classes
+      in
+      let b = { b_ample = ample; b_indep = indep; b_sym = analyze spec } in
+      Hashtbl.replace memo k b;
+      b
+
+let reducer b ~por ~symmetry ~candidates ~iter_terms ~remap ~emit =
+  ( (if por then fun rule -> List.mem rule b.b_ample else fun _ -> false),
+    if symmetry then
+      canonizer (orbit_elems b.b_sym ~candidates) ~iter_terms ~remap ~emit
+    else fun st -> st )

@@ -81,3 +81,41 @@ val certificate : result -> Certify.Sexp.t
     class is re-checked against the rule set.  [Ok classes] or
     [Error breadcrumb], e.g. [classes/class[Rand]/swap[nA,nE]/rule[...]]. *)
 val check : Cafeobj.Spec.t -> Certify.Sexp.t -> (int, string) Stdlib.result
+
+(** {1 Model-checker reductions}
+
+    A concrete model checks the state space of a protocol whose symbolic
+    OTS has a generated equational theory; the reduction it searches with
+    is justified on that theory. *)
+
+type basis = {
+  b_ample : string list;  (** concrete rules certified as an ample set *)
+  b_indep : Indep.result option;
+  b_sym : result;
+}
+
+(** [reduction_basis ~classes spec_of] is a function memoized per key [k]
+    (a protocol style or variant): the {!Indep} analysis of [spec_of k]
+    focused on the symbolic actions of [classes k], and its symmetry
+    {!analyze}.  Each class maps a concrete rule to the symbolic actions
+    it enumerates; the rule is ample when every one of them is certified
+    ({!Indep.certified_ample}). *)
+val reduction_basis :
+  classes:('k -> (string * string list) list) ->
+  ('k -> Cafeobj.Spec.t) ->
+  'k ->
+  basis
+
+(** [reducer b ~por ~symmetry ~candidates ~iter_terms ~remap ~emit] is
+    the ample test on concrete rule names (always false without [por])
+    and the {!canonizer} over [b]'s orbit of [candidates] (the identity
+    without [symmetry]). *)
+val reducer :
+  basis ->
+  por:bool ->
+  symmetry:bool ->
+  candidates:Term.t list ->
+  iter_terms:((Term.t -> unit) -> 's -> unit) ->
+  remap:((Term.t -> Term.t) -> 's -> 's) ->
+  emit:((string -> unit) -> 's -> unit) ->
+  (string -> bool) * ('s -> 's)

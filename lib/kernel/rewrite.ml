@@ -605,7 +605,7 @@ let normalize_traced sys t =
     sys t
 
 (* ------------------------------------------------------------------ *)
-(* Global tracer.                                                      *)
+(* Tracers: process-wide, or scoped to the calling domain.             *)
 (* ------------------------------------------------------------------ *)
 
 type obligation = { ob_info : sys_info; ob_input : Term.t; ob_deriv : deriv }
@@ -621,6 +621,21 @@ let tracer () =
 
 let tracer_slot : tracer option Atomic.t = Atomic.make None
 let set_tracer tr = Atomic.set tracer_slot tr
+
+(* The domain slot is read only while some [with_tracer] is running, so
+   the untraced path costs two atomic loads. *)
+let domain_tracer : tracer option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let scoped_tracers = Atomic.make 0
+
+let with_tracer tr f =
+  let prev = Domain.DLS.get domain_tracer in
+  Domain.DLS.set domain_tracer (Some tr);
+  Atomic.incr scoped_tracers;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.decr scoped_tracers;
+      Domain.DLS.set domain_tracer prev)
+    f
 
 let obligations tr =
   Mutex.protect tr.tr_lock (fun () -> List.rev tr.tr_obs)
@@ -648,7 +663,12 @@ let record tr sys t d =
 let normalize sys t =
   red_span
     (fun sys t ->
-      match Atomic.get tracer_slot with
+      let tr =
+        match Atomic.get tracer_slot with
+        | None when Atomic.get scoped_tracers > 0 -> Domain.DLS.get domain_tracer
+        | global -> global
+      in
+      match tr with
       | None -> run shared sys t
       | Some tr ->
         let d = derive sys t in

@@ -66,9 +66,10 @@ val extend : system -> rule list -> system
     the protocol's base system. *)
 val fork : system -> system
 
-(** [normalize sys t] is the normal form of [t].  When a global tracer is
-    installed ({!set_tracer}), the run additionally records a derivation
-    obligation for later certification.
+(** [normalize sys t] is the normal form of [t].  When a tracer is
+    installed ({!set_tracer}, or {!with_tracer} on the calling domain),
+    the run additionally records a derivation obligation for later
+    certification.
     @raise Limit_exceeded if the step budget or deadline is exhausted (a
     safety net against non-terminating rule sets).  The exhausted run
     {e never} returns a partial normal form: callers either propagate the
@@ -258,13 +259,16 @@ type sys_info = {
 
 val info : system -> sys_info
 
-(** {1 Global tracer}
+(** {1 Tracers}
 
     [set_tracer (Some tr)] makes every {!normalize} call — everywhere, on
     every domain — record its derivation into [tr] as a proof obligation.
     Recording is mutex-protected and deduplicated per (system, input);
     zero-step runs are skipped.  [set_tracer None] turns tracing off (the
-    default; the untraced path costs one atomic load). *)
+    default).  [with_tracer tr f] records into [tr] only the {!normalize}
+    calls [f] makes on the calling domain, and only while no process-wide
+    tracer is set; concurrent work on other domains records nothing into
+    it.  The untraced path costs two atomic loads. *)
 
 type obligation = {
   ob_info : sys_info;
@@ -276,6 +280,10 @@ type tracer
 
 val tracer : unit -> tracer
 val set_tracer : tracer option -> unit
+
+(** [with_tracer tr f] runs [f ()] with [tr] as the calling domain's
+    tracer, restoring the previous one when [f] returns or raises. *)
+val with_tracer : tracer -> (unit -> 'a) -> 'a
 
 (** [obligations tr] returns the recorded obligations in recording order. *)
 val obligations : tracer -> obligation list

@@ -384,45 +384,15 @@ let fake_classes variant =
       "fake-m3", [ "fakeM3c"; "fakeM3r" ];
     ]
 
-type analysis = {
-  an_ample : string list;  (** concrete fake rules certified ample *)
-  an_indep : Analysis.Indep.result option;
-  an_sym : Analysis.Symmetry.result;
-}
-
-let analysis_cache : (variant, analysis) Hashtbl.t = Hashtbl.create 2
-
 (* The static pass runs on the *generated equational theory* of the OTS:
    independence of the intruder actions from every action (self included)
    admits them as an ample/flooding set; the symmetry classes over [Rand]
    give the canonization orbit.  Memoized per variant (~0.4 s). *)
-let analysis variant =
-  match Hashtbl.find_opt analysis_cache variant with
-  | Some a -> a
-  | None ->
-    let gspec = Nspk_model.gen_spec variant in
-    let classes = fake_classes variant in
-    let focus = List.concat_map snd classes in
-    let indep = Analysis.Indep.analyze ~focus gspec in
-    let ample =
-      match indep with
-      | None -> []
-      | Some r ->
-        let certified = Analysis.Indep.certified_ample r focus in
-        List.filter_map
-          (fun (rule, acts) ->
-            if List.for_all (fun a -> List.mem a certified) acts then
-              Some rule
-            else None)
-          classes
-    in
-    let sym = Analysis.Symmetry.analyze gspec in
-    let a = { an_ample = ample; an_indep = indep; an_sym = sym } in
-    Hashtbl.replace analysis_cache variant a;
-    a
+let analysis =
+  Analysis.Symmetry.reduction_basis ~classes:fake_classes Nspk_model.gen_spec
 
-let independence variant = (analysis variant).an_indep
-let symmetries variant = (analysis variant).an_sym
+let independence variant = (analysis variant).Analysis.Symmetry.b_indep
+let symmetries variant = (analysis variant).Analysis.Symmetry.b_sym
 
 (* The terms a permutation of the honest nonces acts on: the network, the
    used nonces and the runs' nonces. *)
@@ -448,21 +418,13 @@ let remap_state f st =
   }
 
 let reduction ?(por = true) ?(symmetry = true) scen =
-  let a = analysis scen.variant in
-  let ample =
-    if por then fun (l : label) -> List.mem l.rule a.an_ample
-    else fun _ -> false
+  (* Only the scenario's honest-nonce pool is interchangeable: the
+     intruder's own nonces are part of its (asymmetric) identity. *)
+  let ample, canon =
+    Analysis.Symmetry.reducer (analysis scen.variant) ~por ~symmetry
+      ~candidates:scen.nonces ~iter_terms ~remap:remap_state ~emit:emit_key
   in
-  let canon =
-    if symmetry then
-      (* Only the scenario's honest-nonce pool is interchangeable: the
-         intruder's own nonces are part of its (asymmetric) identity. *)
-      Analysis.Symmetry.canonizer
-        (Analysis.Symmetry.orbit_elems a.an_sym ~candidates:scen.nonces)
-        ~iter_terms ~remap:remap_state ~emit:emit_key
-    else fun st -> st
-  in
-  { Mc.ample; canon }
+  { Mc.ample = (fun (l : label) -> ample l.rule); canon }
 
 (* Re-exports: the symbolic OTS treatment (model + proof campaign). *)
 module Symbolic = Nspk_model

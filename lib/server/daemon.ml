@@ -14,8 +14,6 @@ let c_requests = live "server.requests"
 let c_connections = live "server.connections"
 let c_timeouts = live "server.timeouts"
 let c_protocol_errors = live "server.protocol_errors"
-let c_lint_cache_hits = live "server.lint.cache_hits"
-let c_secrecy_cache_hits = live "server.secrecy.cache_hits"
 let h_latency = Probe.histogram "server.request_latency"
 
 type config = {
@@ -67,16 +65,13 @@ type resident = {
   pool : Sched.Pool.t;
   wake : Unix.file_descr;  (* write end of the event loop's wake pipe *)
   envs : (P.style * Core.Induction.env) list;
+  (* every result kept across requests, in a registry per kind: proved
+     obligations (keyed [verify:STYLE:NAME]), and per style the lint
+     report, the secrecy result and the static certificate evidence *)
   registry : proved Registry.t;
-  lint_cache : (P.style, Analysis.Lint.report) Hashtbl.t;
-  secrecy_cache : (P.style, Analysis.Secrecy.result) Hashtbl.t;
-  (* the expensive, campaign-independent certificate parts (LPO
-     precedence, critical-pair joins) computed once per style *)
-  static_certs :
-    ( P.style,
-      Kernel.Signature.op list option
-      * (Kernel.Completion.overlap * Analysis.Confluence.jcert) list )
-    Hashtbl.t;
+  lints : Analysis.Lint.report Registry.t;
+  secrecies : Analysis.Secrecy.result Registry.t;
+  statics : Analysis.Certgen.static Registry.t;
   eval_env : Cafeobj.Eval.env;
   started_ns : int;
   slow_ms : float;
@@ -159,46 +154,54 @@ let submit resident f =
       : unit Sched.Task.t);
   t
 
+(* A style's static certificate evidence (LPO precedence, critical-pair
+   joins), from its registry.  A miss is computed here, inside the
+   certifying task and without the pool, so the task never helps run
+   another: a certifying task run by one that is computing the evidence
+   would wait for it forever.  A task that never helps can block on the
+   one computing an in-flight entry. *)
+let static_evidence resident style spec =
+  let promise = Sched.Task.create () in
+  match
+    Registry.find_or_submit resident.statics ~key:(P.style_name style)
+      (fun () -> promise)
+  with
+  | task, `Fresh -> (
+    match Analysis.Certgen.static_evidence spec with
+    | st ->
+      Sched.Task.fill task st;
+      st
+    | exception e ->
+      Sched.Task.fail task e (Printexc.get_raw_backtrace ());
+      raise e)
+  | task, (`Cached | `Inflight) -> Sched.Task.wait task
+
 (* ------------------------------------------------------------------ *)
-(* Per-connection state *)
+(* Connections and jobs *)
 
-(* Requests on one connection are answered strictly in request order;
-   obligations are dispatched to the pool the moment the request frame
-   arrives, so later requests compute while earlier ones stream. *)
-type active =
-  | Aimmediate of P.request
-  | Aerror of { responses : P.response list; exit_code : int }
-  | Averify of {
-      mutable todo : (bool * proved Sched.Task.t) list;
-      mutable results : proved list;  (* positives, reversed *)
-      mutable timed_out : bool;
-      mutable unexpected : bool;
-      mutable errored : bool;
-    }
-  | Alint of {
-      style : P.style;
-      task : Analysis.Lint.report Sched.Task.t;
-      cached : bool;
-    }
-  | Asecrecy of {
-      style : P.style;
-      task : Analysis.Secrecy.result Sched.Task.t;
-      cached : bool;
-    }
-  | Acert of {
-      task : ((bool * Core.Induction.result) list * string) Sched.Task.t;
-          (** certifying campaign: (negative?, result) list + certificate *)
-    }
-  | Acheck of { task : Analysis.Certgen.check_result Sched.Task.t }
-
-type job = { active : active; kind : string; req_id : string; t0_ns : int }
+(* Requests on one connection are answered strictly in request order; a
+   request's pool work is dispatched the moment its frame arrives, so
+   later requests compute while earlier ones stream.  A job's [step] sends
+   whatever part of its reply is ready and returns the exit code once the
+   request is answered. *)
+type job = {
+  kind : string;
+  req_id : string;
+  t0_ns : int;
+  step : unit -> int option;
+}
 
 (* fallback ids for clients that did not tag their request *)
 let srv_id = Atomic.make 0
 
+(* Protocol clients and HTTP clients share one table: the accept, the
+   read, the bounded write and the close sweep.  An HTTP client gets one
+   response and is closed once it is written. *)
+type proto = Wire of P.Frame.decoder | Http of Buffer.t  (* request head so far *)
+
 type conn = {
   fd : Unix.file_descr;
-  dec : P.Frame.decoder;
+  proto : proto;
   out : Buffer.t;
   mutable out_off : int;
   jobs_q : job Queue.t;
@@ -207,6 +210,7 @@ type conn = {
   mutable dead : bool;  (* close now *)
 }
 
+let is_wire c = match c.proto with Wire _ -> true | Http _ -> false
 let send conn resp = P.Frame.encode conn.out (P.encode_response resp)
 let has_output conn = Buffer.length conn.out > conn.out_off
 
@@ -238,8 +242,42 @@ let finish_job resident conn job ~exit_code =
   else Log.info "request_done" fields;
   conn.last_active <- Unix.gettimeofday ()
 
+(* Pump a connection's head jobs as far as they go. *)
+let progress resident conn =
+  let rec pump () =
+    match Queue.peek_opt conn.jobs_q with
+    | None -> ()
+    | Some job -> (
+      match job.step () with
+      | None -> ()
+      | Some exit_code ->
+        finish_job resident conn job ~exit_code;
+        pump ())
+  in
+  pump ()
+
+(* The reply to a request whose work raised [e]: an exhausted step budget
+   or deadline is a structured timeout named [name], anything else a
+   server error. *)
+let failed resident conn ~req_id ~kind ?(name = kind) e =
+  match e with
+  | Kernel.Rewrite.Limit_exceeded { limit; steps } ->
+    Probe.incr c_timeouts;
+    Log.warn "timeout" [ "id", Log.S req_id; "kind", Log.S kind; "steps", Log.I steps ];
+    flight_dump resident ("limit-exceeded: " ^ name);
+    let limit =
+      match limit with
+      | Kernel.Rewrite.Steps n -> `Steps n
+      | Kernel.Rewrite.Deadline d -> `Deadline d
+    in
+    send conn (P.Rtimeout { limit; steps; name });
+    Exit.timeout
+  | e ->
+    send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
+    Exit.failure
+
 (* ------------------------------------------------------------------ *)
-(* Immediate requests *)
+(* Immediate replies *)
 
 (* Point-in-time gauges, recomputed on every export (s-expr [metrics]
    request and HTTP /metrics alike). *)
@@ -290,112 +328,142 @@ let metrics_response resident =
           ins.Probe.in_histograms;
     }
 
-let handle_eval resident ~step_limit ~deadline_s src emit =
-  (* [red] runs synchronously on the event loop: every red this request
-     makes is bounded by the request's own step limit / deadline (absent
-     ones by the kernel's defaults), whichever module it reduces in.  This
-     is also the direct wire exercise of Limit_exceeded. *)
-  match Cafeobj.Parser.parse_string src with
-  | exception Cafeobj.Parser.Error m ->
-    emit (P.Rerror { code = "eval"; msg = m });
-    Exit.failure
-  | exception Cafeobj.Lexer.Error { line; col; message } ->
-    emit
-      (P.Rerror
-         {
-           code = "eval";
-           msg = Printf.sprintf "line %d, col %d: %s" line col message;
-         });
-    Exit.failure
-  | program -> (
-    try
-      List.iter
-        (fun (phrase, _pos) ->
-          let out =
-            Cafeobj.Eval.eval ?step_limit ?deadline_s resident.eval_env phrase
-          in
-          emit (P.Reval { text = Format.asprintf "%a" Cafeobj.Eval.pp_output out }))
-        program;
-      Exit.ok
-    with
-    | Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-      Probe.incr c_timeouts;
-      Log.warn "timeout" [ "kind", Log.S "eval"; "steps", Log.I steps ];
-      flight_dump resident "limit-exceeded: eval";
-      let limit =
-        match limit with
-        | Kernel.Rewrite.Steps n -> `Steps n
-        | Kernel.Rewrite.Deadline d -> `Deadline d
-      in
-      emit (P.Rtimeout { limit; steps; name = "eval" });
-      Exit.timeout
-    | Cafeobj.Eval.Error m ->
-      emit (P.Rerror { code = "eval"; msg = m });
-      Exit.failure)
+let stop_flag = Atomic.make false
+let quit_flag = Atomic.make false
 
 (* ------------------------------------------------------------------ *)
-(* Request intake: build the job (dispatching pool work now), enqueue *)
+(* Request intake: dispatch the request's pool work and queue its job *)
 
 let start_request resident conn ~req_id req =
   let t0_ns = Probe.now_ns () in
-  let enqueue kind active =
-    Queue.push { active; kind; req_id; t0_ns } conn.jobs_q
+  let job kind step = Queue.push { kind; req_id; t0_ns; step } conn.jobs_q in
+  let fail ?name kind e = failed resident conn ~req_id ~kind ?name e in
+  let reply_now kind f = job kind (fun () -> Some (f ())) in
+  let bad_request kind msg =
+    reply_now kind (fun () ->
+        send conn (P.Rerror { code = "bad-request"; msg });
+        Exit.usage)
+  in
+  (* a reply from one pool task's result *)
+  let await ?name kind task reply =
+    job kind (fun () ->
+        match Sched.Task.poll task with
+        | None -> None
+        | Some v -> Some (reply v)
+        | exception e -> Some (fail ?name kind e))
+  in
+  let lookup registry style f =
+    Registry.find_or_submit ~requester:req_id registry ~key:(P.style_name style)
+      (fun () -> submit resident (fun () -> f (Tls.Model.spec (model_style style))))
   in
   match req with
-  | P.Ping -> enqueue "ping" (Aimmediate req)
-  | P.Status -> enqueue "status" (Aimmediate req)
-  | P.Metrics -> enqueue "metrics" (Aimmediate req)
-  | P.Shutdown -> enqueue "shutdown" (Aimmediate req)
-  | P.Eval _ -> enqueue "eval" (Aimmediate req)
+  | P.Ping ->
+    reply_now "ping" (fun () ->
+        send conn (P.Pong { pid = Unix.getpid (); uptime_s = uptime_s resident });
+        Exit.ok)
+  | P.Status ->
+    reply_now "status" (fun () ->
+        let dedup_hits, dedup_misses = Registry.dedup_counts () in
+        send conn
+          (P.Rstatus
+             {
+               uptime_s = uptime_s resident;
+               jobs = Sched.Pool.jobs resident.pool;
+               requests = resident.served;
+               in_flight = Registry.in_flight_count resident.registry;
+               dedup_hits;
+               dedup_misses;
+               styles = List.map fst resident.envs;
+             });
+        Exit.ok)
+  | P.Metrics ->
+    reply_now "metrics" (fun () ->
+        send conn (metrics_response resident);
+        Exit.ok)
+  | P.Shutdown ->
+    reply_now "shutdown" (fun () ->
+        Atomic.set stop_flag true;
+        Exit.ok)
+  | P.Eval { src; step_limit; deadline_s } ->
+    (* runs on the event loop when it reaches the head of its connection;
+       every red of this request is bounded by its own step limit and
+       deadline (absent ones by the kernel's defaults), whichever module
+       it reduces in *)
+    reply_now "eval" (fun () ->
+        let eval (phrase, _pos) =
+          let out =
+            Cafeobj.Eval.eval ?step_limit ?deadline_s resident.eval_env phrase
+          in
+          send conn (P.Reval { text = Format.asprintf "%a" Cafeobj.Eval.pp_output out })
+        in
+        let eval_error msg =
+          send conn (P.Rerror { code = "eval"; msg });
+          Exit.failure
+        in
+        match List.iter eval (Cafeobj.Parser.parse_string src) with
+        | () -> Exit.ok
+        | exception (Cafeobj.Parser.Error m | Cafeobj.Eval.Error m) -> eval_error m
+        | exception Cafeobj.Lexer.Error { line; col; message } ->
+          eval_error (Printf.sprintf "line %d, col %d: %s" line col message)
+        | exception e -> fail "eval" e)
   | P.Lint { style } ->
-    let cached = Hashtbl.find_opt resident.lint_cache style in
-    let task =
-      match cached with
-      | Some report ->
-        Probe.incr c_lint_cache_hits;
-        Sched.Task.of_result report
-      | None ->
-        submit resident (fun () ->
-            Analysis.Lint.run ~pool:resident.pool
-              [
-                Analysis.Lint.Generated
-                  {
-                    label = "generated:tls-" ^ P.style_name style;
-                    spec = Tls.Model.spec (model_style style);
-                  };
-              ])
+    let task, how =
+      lookup resident.lints style (fun spec ->
+          Analysis.Lint.run ~pool:resident.pool
+            [
+              Analysis.Lint.Generated
+                { label = "generated:tls-" ^ P.style_name style; spec };
+            ])
     in
-    enqueue "lint" (Alint { style; task; cached = cached <> None })
+    await "lint" task (fun report ->
+        send conn
+          (P.Rlint
+             {
+               errors = report.Analysis.Lint.errors;
+               warnings = report.Analysis.Lint.warnings;
+               infos = report.Analysis.Lint.infos;
+               cached = how = `Cached;
+               text = Format.asprintf "%a" Analysis.Lint.pp_report report;
+             });
+        if report.Analysis.Lint.errors > 0 then Exit.failure else Exit.ok)
   | P.Secrecy { style } ->
-    let cached = Hashtbl.find_opt resident.secrecy_cache style in
-    let task =
-      match cached with
-      | Some result ->
-        Probe.incr c_secrecy_cache_hits;
-        Sched.Task.of_result result
-      | None ->
-        submit resident (fun () ->
-            Analysis.Secrecy.analyze (Tls.Model.spec (model_style style)))
-    in
-    enqueue "secrecy" (Asecrecy { style; task; cached = cached <> None })
+    let task, how = lookup resident.secrecies style Analysis.Secrecy.analyze in
+    await "secrecy" task (fun result ->
+        send conn
+          (P.Rsecrecy
+             {
+               verdict = Analysis.Secrecy.verdict_name result;
+               clauses = result.Analysis.Secrecy.r_clauses;
+               facts = result.Analysis.Secrecy.r_facts;
+               rounds = result.Analysis.Secrecy.r_rounds;
+               resolutions = result.Analysis.Secrecy.r_resolutions;
+               cached = how = `Cached;
+             });
+        match result.Analysis.Secrecy.r_verdict with
+        | Analysis.Secrecy.Secure | Analysis.Secrecy.Not_applicable _ -> Exit.ok
+        | Analysis.Secrecy.Leak _ | Analysis.Secrecy.Inconclusive -> Exit.failure)
   | P.Check { cert } -> (
     match Certify.Cert.of_string cert with
-    | Error msg ->
-      enqueue "check"
-        (Aerror
-           {
-             responses =
-               [
-                 P.Rerror
-                   { code = "bad-request"; msg = "malformed certificate: " ^ msg };
-               ];
-             exit_code = Exit.usage;
-           })
+    | Error msg -> bad_request "check" ("malformed certificate: " ^ msg)
     | Ok cert ->
       let task =
         submit resident (fun () -> Analysis.Certgen.check ~pool:resident.pool cert)
       in
-      enqueue "check" (Acheck { task }))
+      await "check" task (fun res ->
+          let errors = res.Analysis.Certgen.errors in
+          send conn
+            (P.Rcheck
+               {
+                 ok = errors = [];
+                 obligations = res.Analysis.Certgen.obligations;
+                 steps = res.Analysis.Certgen.steps_replayed;
+                 errors =
+                   List.map
+                     (fun (e : Certify.Check.error) ->
+                       e.Certify.Check.e_path, e.Certify.Check.e_msg)
+                     errors;
+               });
+          if errors = [] then Exit.ok else Exit.failure))
   | P.Verify { style; only; negative; extensions; certify } -> (
     let mstyle = model_style style in
     let resolve () =
@@ -417,20 +485,7 @@ let start_request resident conn ~req_id req =
           names (Ok [])
     in
     match resolve () with
-    | Error name ->
-      enqueue "verify"
-        (Aerror
-           {
-             responses =
-               [
-                 P.Rerror
-                   {
-                     code = "bad-request";
-                     msg = Printf.sprintf "unknown proof %S" name;
-                   };
-               ];
-             exit_code = Exit.usage;
-           })
+    | Error name -> bad_request "verify" (Printf.sprintf "unknown proof %S" name)
     | Ok proofs ->
       let env = List.assoc style resident.envs in
       let obligations =
@@ -445,386 +500,98 @@ let start_request resident conn ~req_id req =
       in
       if certify then begin
         (* A certifying campaign bypasses the registry (cached results
-           carry no trace) and runs as one pool task: every red is traced,
-           then the trace plus the per-style static evidence (LPO, joins —
-           computed once and kept resident) becomes the certificate. *)
+           carry no trace) and runs as one pool task on one domain, so
+           its tracer records its own reds and nothing else; the trace
+           plus the style's static evidence becomes the certificate. *)
         let task =
           submit resident (fun () ->
-              Probe.with_span ~always:true ~cat:"server"
-                "verify-certify"
+              Probe.with_span ~always:true ~cat:"server" "verify-certify"
               @@ fun () ->
               let tr = Kernel.Rewrite.tracer () in
-              Kernel.Rewrite.set_tracer (Some tr);
               let results =
-                Fun.protect
-                  ~finally:(fun () -> Kernel.Rewrite.set_tracer None)
-                  (fun () ->
+                Kernel.Rewrite.with_tracer tr (fun () ->
                     List.map
-                      (fun (neg, proof) ->
-                        neg, Proofs.Tls_invariants.run ~pool:resident.pool env proof)
+                      (fun (neg, proof) -> neg, Proofs.Tls_invariants.run env proof)
                       obligations)
               in
               let spec = Tls.Model.spec mstyle in
-              let precedence, joins =
-                match Hashtbl.find_opt resident.static_certs style with
-                | Some sc -> sc
-                | None ->
-                  let term = Analysis.Termination.check spec in
-                  let prec =
-                    if term.Analysis.Termination.certified then
-                      Some
-                        term.Analysis.Termination.search
-                          .Kernel.Order.precedence
-                    else None
-                  in
-                  let conf =
-                    Analysis.Confluence.check ~pool:resident.pool
-                      ~certify:true spec
-                  in
-                  let sc = prec, conf.Analysis.Confluence.certs in
-                  Hashtbl.replace resident.static_certs style sc;
-                  sc
+              let cert =
+                Analysis.Certgen.campaign spec
+                  (static_evidence resident style spec)
+                  (Kernel.Rewrite.obligations tr)
               in
-              let b = Analysis.Certgen.create () in
-              Analysis.Certgen.add_obligations b (Kernel.Rewrite.obligations tr);
-              (match precedence with
-              | Some p ->
-                Analysis.Certgen.add_lpo b ~precedence:p
-                  (Cafeobj.Spec.all_rules spec)
-              | None -> ());
-              Analysis.Certgen.add_joins b
-                ~rules:(Cafeobj.Spec.all_rules spec)
-                joins;
-              results, Certify.Cert.to_string (Analysis.Certgen.cert b))
+              results, Certify.Cert.to_string cert)
         in
-        enqueue "verify" (Acert { task })
+        await ~name:"obligation" "verify" task (fun (results, cert) ->
+            List.iter
+              (fun (neg, r) -> send conn (P.Rverdict (verdict_of_result ~negative:neg r)))
+              results;
+            let positives =
+              List.filter_map (fun (neg, r) -> if neg then None else Some r) results
+            in
+            send conn (summary_response positives);
+            send conn (P.Rcert { cert });
+            if
+              List.exists (fun (neg, r) -> neg && r.Core.Induction.proved) results
+              || Core.Report.failures positives <> []
+            then Exit.failure
+            else Exit.ok)
       end
       else
-      let todo =
-        List.map
-          (fun (neg, proof) ->
-            let name = Proofs.Tls_invariants.name_of proof in
-            let key =
-              Printf.sprintf "verify:%s:%s" (P.style_name style) name
-            in
-            let task, _how =
-              Registry.find_or_submit ~requester:req_id resident.registry ~key
-                (fun () ->
-                  submit resident (fun () ->
-                      Probe.with_span ~always:true ~cat:"server"
-                        ("obligation:" ^ name)
-                      @@ fun () ->
-                      render ~negative:neg
-                        (Proofs.Tls_invariants.run ~pool:resident.pool env proof)))
-            in
-            neg, task)
-          obligations
-      in
-      enqueue "verify"
-        (Averify
-           {
-             todo;
-             results = [];
-             timed_out = false;
-             unexpected = false;
-             errored = false;
-           }))
-
-(* ------------------------------------------------------------------ *)
-(* Job progress: pump the head job of a connection as far as it goes *)
-
-let progress resident conn ~request_shutdown =
-  let rec pump () =
-    match Queue.peek_opt conn.jobs_q with
-    | None -> ()
-    | Some job -> (
-      match job.active with
-      | Aimmediate req ->
-        let exit_code =
-          match req with
-          | P.Ping ->
-            send conn
-              (P.Pong { pid = Unix.getpid (); uptime_s = uptime_s resident });
-            Exit.ok
-          | P.Status ->
-            let dedup_hits, dedup_misses = Registry.dedup_counts () in
-            send conn
-              (P.Rstatus
-                 {
-                   uptime_s = uptime_s resident;
-                   jobs = Sched.Pool.jobs resident.pool;
-                   requests = resident.served;
-                   in_flight = Registry.in_flight_count resident.registry;
-                   dedup_hits;
-                   dedup_misses;
-                   styles = List.map fst resident.envs;
-                 });
-            Exit.ok
-          | P.Metrics ->
-            send conn (metrics_response resident);
-            Exit.ok
-          | P.Shutdown ->
-            request_shutdown ();
-            Exit.ok
-          | P.Eval { src; step_limit; deadline_s } ->
-            handle_eval resident ~step_limit ~deadline_s src (send conn)
-          | _ -> Exit.ok
+        let todo =
+          ref
+            (List.map
+               (fun (neg, proof) ->
+                 let name = Proofs.Tls_invariants.name_of proof in
+                 let key = Printf.sprintf "verify:%s:%s" (P.style_name style) name in
+                 let task, _how =
+                   Registry.find_or_submit ~requester:req_id resident.registry ~key
+                     (fun () ->
+                       submit resident (fun () ->
+                           Probe.with_span ~always:true ~cat:"server"
+                             ("obligation:" ^ name)
+                           @@ fun () ->
+                           render ~negative:neg
+                             (Proofs.Tls_invariants.run ~pool:resident.pool env proof)))
+                 in
+                 neg, task)
+               obligations)
         in
-        finish_job resident conn job ~exit_code;
-        pump ()
-      | Aerror { responses; exit_code } ->
-        List.iter (send conn) responses;
-        finish_job resident conn job ~exit_code;
-        pump ()
-      | Alint a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some report ->
-          if not (Hashtbl.mem resident.lint_cache a.style) then
-            Hashtbl.replace resident.lint_cache a.style report;
-          send conn
-            (P.Rlint
-               {
-                 errors = report.Analysis.Lint.errors;
-                 warnings = report.Analysis.Lint.warnings;
-                 infos = report.Analysis.Lint.infos;
-                 cached = a.cached;
-                 text = Format.asprintf "%a" Analysis.Lint.pp_report report;
-               });
-          finish_job resident conn job
-            ~exit_code:
-              (if report.Analysis.Lint.errors > 0 then Exit.failure else Exit.ok);
-          pump ()
-        | exception e ->
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Asecrecy a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some result ->
-          if not (Hashtbl.mem resident.secrecy_cache a.style) then
-            Hashtbl.replace resident.secrecy_cache a.style result;
-          let verdict = Analysis.Secrecy.verdict_name result in
-          send conn
-            (P.Rsecrecy
-               {
-                 verdict;
-                 clauses = result.Analysis.Secrecy.r_clauses;
-                 facts = result.Analysis.Secrecy.r_facts;
-                 rounds = result.Analysis.Secrecy.r_rounds;
-                 resolutions = result.Analysis.Secrecy.r_resolutions;
-                 cached = a.cached;
-               });
-          finish_job resident conn job
-            ~exit_code:
-              (match result.Analysis.Secrecy.r_verdict with
-              | Analysis.Secrecy.Secure | Analysis.Secrecy.Not_applicable _ ->
-                Exit.ok
-              | Analysis.Secrecy.Leak _ | Analysis.Secrecy.Inconclusive ->
-                Exit.failure);
-          pump ()
-        | exception e ->
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Acert a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some (results, cert) ->
-          let unexpected = ref false in
-          List.iter
-            (fun (neg, r) ->
-              send conn (P.Rverdict (verdict_of_result ~negative:neg r));
-              if neg && r.Core.Induction.proved then unexpected := true)
-            results;
-          let positives =
-            List.filter_map (fun (neg, r) -> if neg then None else Some r) results
-          in
-          send conn (summary_response positives);
-          send conn (P.Rcert { cert });
-          finish_job resident conn job
-            ~exit_code:
-              (if !unexpected || Core.Report.failures positives <> [] then
-                 Exit.failure
-               else Exit.ok);
-          pump ()
-        | exception Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-          Probe.incr c_timeouts;
-          Log.warn "timeout"
-            [ "id", Log.S job.req_id; "kind", Log.S job.kind; "steps", Log.I steps ];
-          flight_dump resident "limit-exceeded: verify-certify";
-          Kernel.Rewrite.set_tracer None;
-          let limit =
-            match limit with
-            | Kernel.Rewrite.Steps n -> `Steps n
-            | Kernel.Rewrite.Deadline d -> `Deadline d
-          in
-          send conn (P.Rtimeout { limit; steps; name = "obligation" });
-          finish_job resident conn job ~exit_code:Exit.timeout;
-          pump ()
-        | exception e ->
-          Kernel.Rewrite.set_tracer None;
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Acheck a -> (
-        match Sched.Task.poll a.task with
-        | None -> ()
-        | Some res ->
-          send conn
-            (P.Rcheck
-               {
-                 ok = res.Analysis.Certgen.errors = [];
-                 obligations = res.Analysis.Certgen.obligations;
-                 steps = res.Analysis.Certgen.steps_replayed;
-                 errors =
-                   List.map
-                     (fun (e : Certify.Check.error) ->
-                       e.Certify.Check.e_path, e.Certify.Check.e_msg)
-                     res.Analysis.Certgen.errors;
-               });
-          finish_job resident conn job
-            ~exit_code:
-              (if res.Analysis.Certgen.errors = [] then Exit.ok else Exit.failure);
-          pump ()
-        | exception e ->
-          send conn (P.Rerror { code = "server"; msg = Printexc.to_string e });
-          finish_job resident conn job ~exit_code:Exit.failure;
-          pump ())
-      | Averify a -> (
-        match a.todo with
-        | [] ->
-          let results = List.rev_map (fun p -> p.result) a.results in
-          (match a.results with
-          | [ p ] -> Buffer.add_string conn.out p.summary_frame
-          | _ -> send conn (summary_response results));
-          let exit_code =
-            if a.timed_out then Exit.timeout
-            else if
-              a.errored || a.unexpected
-              || Core.Report.failures results <> []
-            then Exit.failure
-            else Exit.ok
-          in
-          finish_job resident conn job ~exit_code;
-          pump ()
-        | (neg, task) :: rest -> (
-          match Sched.Task.poll task with
-          | None -> ()
-          | Some p ->
-            Buffer.add_string conn.out p.verdict_frame;
-            if neg then begin
-              if p.result.Core.Induction.proved then a.unexpected <- true
-            end
-            else a.results <- p :: a.results;
-            a.todo <- rest;
-            pump ()
-          | exception Kernel.Rewrite.Limit_exceeded { limit; steps } ->
-            Probe.incr c_timeouts;
-            Log.warn "timeout"
-              [
-                "id", Log.S job.req_id;
-                "kind", Log.S job.kind;
-                "steps", Log.I steps;
-              ];
-            flight_dump resident "limit-exceeded: obligation";
-            let limit =
-              match limit with
-              | Kernel.Rewrite.Steps n -> `Steps n
-              | Kernel.Rewrite.Deadline d -> `Deadline d
+        (* verdicts stream in campaign order; exit codes rank by value
+           (timeout 5 over failure 1 over ok 0) *)
+        let positives = ref [] and code = ref Exit.ok in
+        job "verify" (fun () ->
+            let rec go () =
+              match !todo with
+              | [] ->
+                let results = List.rev_map (fun p -> p.result) !positives in
+                (match !positives with
+                | [ p ] -> Buffer.add_string conn.out p.summary_frame
+                | _ -> send conn (summary_response results));
+                if Core.Report.failures results <> [] then code := max !code Exit.failure;
+                Some !code
+              | (neg, task) :: rest -> (
+                match Sched.Task.poll task with
+                | None -> None
+                | Some p ->
+                  todo := rest;
+                  Buffer.add_string conn.out p.verdict_frame;
+                  if not neg then positives := p :: !positives
+                  else if p.result.Core.Induction.proved then
+                    code := max !code Exit.failure;
+                  go ()
+                | exception e ->
+                  todo := rest;
+                  code := max !code (fail ~name:"obligation" "verify" e);
+                  go ())
             in
-            send conn (P.Rtimeout { limit; steps; name = "obligation" });
-            a.timed_out <- true;
-            a.todo <- rest;
-            pump ()
-          | exception e ->
-            send conn
-              (P.Rerror { code = "server"; msg = Printexc.to_string e });
-            a.errored <- true;
-            a.todo <- rest;
-            pump ())))
-  in
-  pump ()
-
-(* ------------------------------------------------------------------ *)
-(* Socket plumbing *)
-
-(* [io] is the event loop's one scratch buffer: a write stages at most
-   its length of the unsent reply there, so a slow reader holding a large
-   reply costs one bounded copy per attempt, not a copy of the whole
-   reply. *)
-let flush_conn io conn =
-  if has_output conn then begin
-    let len = min (Buffer.length conn.out - conn.out_off) (Bytes.length io) in
-    Buffer.blit conn.out conn.out_off io 0 len;
-    match Unix.write conn.fd io 0 len with
-    | n ->
-      conn.out_off <- conn.out_off + n;
-      if conn.out_off >= Buffer.length conn.out then begin
-        Buffer.clear conn.out;
-        conn.out_off <- 0
-      end;
-      conn.last_active <- Unix.gettimeofday ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-      conn.dead <- true
-  end
-
-let read_conn resident io conn =
-  match Unix.read conn.fd io 0 (Bytes.length io) with
-  | 0 -> conn.dead <- true
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error (ECONNRESET, _, _) -> conn.dead <- true
-  | n ->
-    conn.last_active <- Unix.gettimeofday ();
-    P.Frame.feed conn.dec io 0 n;
-    let rec drain_frames () =
-      match P.Frame.next conn.dec with
-      | Ok None -> ()
-      | Ok (Some payload) ->
-        (match P.decode_request payload with
-        | Ok req ->
-          let req_id =
-            match P.request_id payload with
-            | Some id -> id
-            | None -> Printf.sprintf "srv-%d" (Atomic.fetch_and_add srv_id 1)
-          in
-          Log.debug "request_start" [ "id", Log.S req_id ];
-          (* the request id is installed while dispatching so the pool
-             captures it onto every obligation submitted for this job *)
-          if Probe.enabled () then
-            Probe.with_request (Some req_id) (fun () ->
-                start_request resident conn ~req_id req)
-          else start_request resident conn ~req_id req
-        | Error msg ->
-          Probe.incr c_protocol_errors;
-          Log.warn "protocol_error" [ "msg", Log.S msg ];
-          send conn (P.Rerror { code = "protocol"; msg });
-          send conn (P.Done { exit_code = Exit.usage }));
-        drain_frames ()
-      | Error msg ->
-        (* framing is unrecoverable: answer, then close once flushed *)
-        Probe.incr c_protocol_errors;
-        Log.warn "protocol_error" [ "msg", Log.S msg ];
-        send conn (P.Rerror { code = "protocol"; msg });
-        send conn (P.Done { exit_code = Exit.usage });
-        conn.closing <- true
-    in
-    drain_frames ()
+            go ()))
 
 (* ------------------------------------------------------------------ *)
 (* The HTTP sidecar: GET /metrics, /healthz, /statusz on a loopback TCP
-   port, multiplexed through the same select() loop as the wire protocol
-   so a scrape can never be starved by (or starve) proof work. *)
-
-type hconn = {
-  hfd : Unix.file_descr;
-  hin : Buffer.t;
-  mutable hout : string;  (* "" until the response is computed *)
-  mutable hout_off : int;
-  mutable hdead : bool;
-}
+   port, served from the same connection table and select() loop as the
+   wire protocol so a scrape can never be starved by (or starve) proof
+   work. *)
 
 let statusz_json resident ~draining =
   let b = Buffer.create 512 in
@@ -876,10 +643,84 @@ let http_route resident ~draining (r : Obs.Http.request) =
     | _ -> Obs.Http.response ~status:404 "not found\n"
 
 (* ------------------------------------------------------------------ *)
-(* The server proper *)
+(* Socket plumbing *)
 
-let stop_flag = Atomic.make false
-let quit_flag = Atomic.make false
+(* [io] is the event loop's one scratch buffer: a write stages at most
+   its length of the unsent reply there, so a slow reader holding a large
+   reply costs one bounded copy per attempt, not a copy of the whole
+   reply. *)
+let flush_conn io conn =
+  if has_output conn then begin
+    let len = min (Buffer.length conn.out - conn.out_off) (Bytes.length io) in
+    Buffer.blit conn.out conn.out_off io 0 len;
+    match Unix.write conn.fd io 0 len with
+    | n ->
+      conn.out_off <- conn.out_off + n;
+      if conn.out_off >= Buffer.length conn.out then begin
+        Buffer.clear conn.out;
+        conn.out_off <- 0
+      end;
+      conn.last_active <- Unix.gettimeofday ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+      conn.dead <- true
+  end
+
+let protocol_error conn msg =
+  Probe.incr c_protocol_errors;
+  Log.warn "protocol_error" [ "msg", Log.S msg ];
+  send conn (P.Rerror { code = "protocol"; msg });
+  send conn (P.Done { exit_code = Exit.usage })
+
+let read_conn resident io conn ~draining =
+  match Unix.read conn.fd io 0 (Bytes.length io) with
+  | 0 -> conn.dead <- true
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error (ECONNRESET, _, _) -> conn.dead <- true
+  | n -> (
+    conn.last_active <- Unix.gettimeofday ();
+    match conn.proto with
+    | Http head -> (
+      Buffer.add_subbytes head io 0 n;
+      let respond s =
+        Buffer.add_string conn.out s;
+        conn.closing <- true
+      in
+      match Obs.Http.parse (Buffer.contents head) with
+      | `Partial -> ()
+      | `Bad -> respond (Obs.Http.response ~status:400 "bad request\n")
+      | `Ready r -> respond (http_route resident ~draining r))
+    | Wire dec ->
+      P.Frame.feed dec io 0 n;
+      let rec drain_frames () =
+        match P.Frame.next dec with
+        | Ok None -> ()
+        | Ok (Some payload) ->
+          (match P.decode_request payload with
+          | Ok req ->
+            let req_id =
+              match P.request_id payload with
+              | Some id -> id
+              | None -> Printf.sprintf "srv-%d" (Atomic.fetch_and_add srv_id 1)
+            in
+            Log.debug "request_start" [ "id", Log.S req_id ];
+            (* the request id is installed while dispatching so the pool
+               captures it onto every obligation submitted for this job *)
+            if Probe.enabled () then
+              Probe.with_request (Some req_id) (fun () ->
+                  start_request resident conn ~req_id req)
+            else start_request resident conn ~req_id req
+          | Error msg -> protocol_error conn msg);
+          drain_frames ()
+        | Error msg ->
+          (* framing is unrecoverable: answer, then close once flushed *)
+          protocol_error conn msg;
+          conn.closing <- true
+      in
+      drain_frames ())
+
+(* ------------------------------------------------------------------ *)
+(* The server proper *)
 
 let claim_socket path =
   if Sys.file_exists path then begin
@@ -970,9 +811,9 @@ let run config =
           P.Variant, Tls.Model.env Tls.Model.Cf2First;
         ];
       registry = Registry.create ();
-      lint_cache = Hashtbl.create 4;
-      secrecy_cache = Hashtbl.create 4;
-      static_certs = Hashtbl.create 4;
+      lints = Registry.create ();
+      secrecies = Registry.create ();
+      statics = Registry.create ();
       eval_env = Cafeobj.Eval.create ();
       started_ns = Probe.now_ns ();
       slow_ms = config.slow_ms;
@@ -988,15 +829,11 @@ let run config =
       "pid", Log.I (Unix.getpid ());
     ];
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let hconns : (Unix.file_descr, hconn) Hashtbl.t = Hashtbl.create 8 in
   let draining = ref false in
   let listening = ref true in
-  let request_shutdown () = Atomic.set stop_flag true in
   let cleanup () =
     Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) conns;
     Hashtbl.reset conns;
-    Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) hconns;
-    Hashtbl.reset hconns;
     (match hlfd with
     | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> ());
@@ -1013,75 +850,32 @@ let run config =
       Flight.set_enabled false
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let accept_all () =
+  let accept_all lfd proto =
     let rec go () =
       match Unix.accept ~cloexec:true lfd with
       | fd, _ ->
         Unix.set_nonblock fd;
-        Probe.incr c_connections;
-        Hashtbl.replace conns fd
+        let c =
           {
             fd;
-            dec = P.Frame.decoder ~max_frame:config.max_frame ();
+            proto = proto ();
             out = Buffer.create 1024;
             out_off = 0;
             jobs_q = Queue.create ();
             last_active = Unix.gettimeofday ();
             closing = false;
             dead = false;
-          };
+          }
+        in
+        if is_wire c then Probe.incr c_connections;
+        Hashtbl.replace conns fd c;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     in
     go ()
   in
-  let pending_jobs () =
-    Hashtbl.fold (fun _ c n -> n + Queue.length c.jobs_q) conns 0
-  in
-  let accept_http lfd =
-    let rec go () =
-      match Unix.accept ~cloexec:true lfd with
-      | fd, _ ->
-        Unix.set_nonblock fd;
-        Hashtbl.replace hconns fd
-          {
-            hfd = fd;
-            hin = Buffer.create 256;
-            hout = "";
-            hout_off = 0;
-            hdead = false;
-          };
-        go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    in
-    go ()
-  in
-  let read_http h =
-    match Unix.read h.hfd io 0 4096 with
-    | 0 -> h.hdead <- true
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (ECONNRESET, _, _) -> h.hdead <- true
-    | n ->
-      Buffer.add_subbytes h.hin io 0 n;
-      if String.equal h.hout "" then begin
-        match Obs.Http.parse (Buffer.contents h.hin) with
-        | `Partial -> ()
-        | `Bad -> h.hout <- Obs.Http.response ~status:400 "bad request\n"
-        | `Ready r -> h.hout <- http_route resident ~draining:!draining r
-      end
-  in
-  let write_http h =
-    let len = String.length h.hout - h.hout_off in
-    if len > 0 then
-      match Unix.write_substring h.hfd h.hout h.hout_off len with
-      | n ->
-        h.hout_off <- h.hout_off + n;
-        (* Connection: close — one exchange per connection *)
-        if h.hout_off >= String.length h.hout then h.hdead <- true
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-        h.hdead <- true
-  in
+  let wire () = Wire (P.Frame.decoder ~max_frame:config.max_frame ()) in
+  let http () = Http (Buffer.create 256) in
   let rec drain_wakes () =
     match Unix.read wake_r io 0 (Bytes.length io) with
     | n -> if n = Bytes.length io then drain_wakes ()
@@ -1102,76 +896,17 @@ let run config =
          listening := false;
          (try Unix.close lfd with Unix.Unix_error _ -> ())
        end;
-       (* pump every connection's head job, then flush what it produced *)
+       (* pump every connection's head jobs and flush what they produced;
+          then, before the loop can sleep in select, close broken and
+          answered connections, and protocol clients that are idle or
+          drained during a drain *)
        Hashtbl.iter
          (fun _ c ->
            if not c.dead then begin
-             progress resident c ~request_shutdown;
+             progress resident c;
              flush_conn io c
            end)
          conns;
-       resident.pending <- pending_jobs ();
-       (* a 1-job pool has no workers: the loop lends its own domain, and
-          comes straight back while there is work to lend it to *)
-       let helped =
-         Sched.Pool.jobs pool = 1 && resident.pending > 0
-         && Sched.Pool.try_help pool
-       in
-       let rfds =
-         wake_r :: (if !listening then [ lfd ] else [])
-         (* the HTTP listener stays up through the drain: health checks
-            must be able to observe the 503 flip *)
-         @ (match hlfd with Some fd -> [ fd ] | None -> [])
-         @ Hashtbl.fold
-             (fun fd c acc -> if c.closing || c.dead then acc else fd :: acc)
-             conns []
-         @ Hashtbl.fold
-             (fun fd h acc ->
-               if h.hdead || not (String.equal h.hout "") then acc
-               else fd :: acc)
-             hconns []
-       in
-       let wfds =
-         Hashtbl.fold
-           (fun fd c acc ->
-             if (not c.dead) && has_output c then fd :: acc else acc)
-           conns []
-         @ Hashtbl.fold
-             (fun fd h acc ->
-               if (not h.hdead) && not (String.equal h.hout "") then fd :: acc
-               else acc)
-             hconns []
-       in
-       (* pending work needs no timeout: its completion writes [wake_w] *)
-       let timeout = if helped then 0. else 0.25 in
-       let readable, writable =
-         match Unix.select rfds wfds [] timeout with
-         | r, w, _ -> r, w
-         | exception Unix.Unix_error (EINTR, _, _) -> [], []
-       in
-       List.iter
-         (fun fd ->
-           if fd = wake_r then drain_wakes ()
-           else if fd = lfd && !listening then accept_all ()
-           else if hlfd = Some fd then accept_http fd
-           else
-             match Hashtbl.find_opt conns fd with
-             | Some c when not c.dead -> read_conn resident io c
-             | _ -> (
-               match Hashtbl.find_opt hconns fd with
-               | Some h when not h.hdead -> read_http h
-               | _ -> ()))
-         readable;
-       List.iter
-         (fun fd ->
-           match Hashtbl.find_opt conns fd with
-           | Some c when not c.dead -> flush_conn io c
-           | _ -> (
-             match Hashtbl.find_opt hconns fd with
-             | Some h when not h.hdead -> write_http h
-             | _ -> ()))
-         writable;
-       (* close idle, drained and broken connections *)
        let now = Unix.gettimeofday () in
        let doomed =
          Hashtbl.fold
@@ -1180,9 +915,10 @@ let run config =
              if
                c.dead
                || (c.closing && drained)
-               || (!draining && drained)
-               || (config.idle_timeout_s > 0. && drained
-                  && now -. c.last_active > config.idle_timeout_s)
+               || is_wire c && drained
+                  && (!draining
+                     || config.idle_timeout_s > 0.
+                        && now -. c.last_active > config.idle_timeout_s)
              then fd :: acc
              else acc)
            conns []
@@ -1192,16 +928,55 @@ let run config =
            (try Unix.close fd with Unix.Unix_error _ -> ());
            Hashtbl.remove conns fd)
          doomed;
-       let hdoomed =
-         Hashtbl.fold (fun fd h acc -> if h.hdead then fd :: acc else acc)
-           hconns []
-       in
-       List.iter
-         (fun fd ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           Hashtbl.remove hconns fd)
-         hdoomed;
-       if !draining && Hashtbl.length conns = 0 then finished := true
+       (* the drain ends with the last protocol client: an HTTP client
+          never holds it open *)
+       if !draining && not (Seq.exists is_wire (Hashtbl.to_seq_values conns)) then
+         finished := true
+       else begin
+         resident.pending <-
+           Hashtbl.fold (fun _ c n -> n + Queue.length c.jobs_q) conns 0;
+         (* a 1-job pool has no workers: the loop lends its own domain, and
+            comes straight back while there is work to lend it to *)
+         let helped =
+           Sched.Pool.jobs pool = 1 && resident.pending > 0
+           && Sched.Pool.try_help pool
+         in
+         let rfds, wfds =
+           Hashtbl.fold
+             (fun fd c (r, w) ->
+               ( (if c.closing || c.dead then r else fd :: r),
+                 if (not c.dead) && has_output c then fd :: w else w ))
+             conns
+             ( (wake_r :: (if !listening then [ lfd ] else []))
+               (* the HTTP listener stays up through the drain: health
+                  checks must be able to observe the 503 flip *)
+               @ Option.to_list hlfd,
+               [] )
+         in
+         (* pending work needs no timeout: its completion writes [wake_w] *)
+         let timeout = if helped then 0. else 0.25 in
+         let readable, writable =
+           match Unix.select rfds wfds [] timeout with
+           | r, w, _ -> r, w
+           | exception Unix.Unix_error (EINTR, _, _) -> [], []
+         in
+         List.iter
+           (fun fd ->
+             if fd = wake_r then drain_wakes ()
+             else if fd = lfd && !listening then accept_all lfd wire
+             else if hlfd = Some fd then accept_all fd http
+             else
+               match Hashtbl.find_opt conns fd with
+               | Some c when not c.dead -> read_conn resident io c ~draining:!draining
+               | _ -> ())
+           readable;
+         List.iter
+           (fun fd ->
+             match Hashtbl.find_opt conns fd with
+             | Some c when not c.dead -> flush_conn io c
+             | _ -> ())
+           writable
+       end
      done
    with e ->
      (* the flight recorder's raison d'être: capture the last moments

@@ -1180,6 +1180,232 @@ let test_live_large_reply_slow_reader () =
     (List.length !frames)
 
 (* ------------------------------------------------------------------ *)
+(* One request engine: every kind, wire or HTTP, through the same path *)
+
+let status_dedup c =
+  let resps, _ = Server.Client.request_collect c P.Status in
+  match
+    List.find_map
+      (function
+        | P.Rstatus { dedup_hits; dedup_misses; _ } -> Some (dedup_hits, dedup_misses)
+        | _ -> None)
+      resps
+  with
+  | Some d -> d
+  | None -> Alcotest.fail "no status response"
+
+let test_live_lint_cached () =
+  with_daemon ~jobs:2 @@ fun socket ->
+  Server.Client.with_client ~socket @@ fun c ->
+  let lint () =
+    let resps, code = Server.Client.request_collect c (P.Lint { style = P.Original }) in
+    Alcotest.(check int) "lint exit ok" Exit.ok code;
+    match
+      List.find_map
+        (function
+          | P.Rlint { errors; warnings; infos; cached; text } ->
+            Some ([ errors; warnings; infos ], cached, text)
+          | _ -> None)
+        resps
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "missing lint-report response"
+  in
+  let counts1, cached1, text1 = lint () in
+  let hits, misses = status_dedup c in
+  let counts2, cached2, text2 = lint () in
+  Alcotest.(check bool) "cold first query" false cached1;
+  Alcotest.(check bool) "warm second query" true cached2;
+  Alcotest.(check (list int)) "identical counts" counts1 counts2;
+  Alcotest.(check string) "identical report" text1 text2;
+  Alcotest.(check int) "no lint errors" 0 (List.hd counts1);
+  Alcotest.(check (pair int int))
+    "the repeat is one registry hit" (hits + 1, misses) (status_dedup c)
+
+let test_live_bad_requests () =
+  with_daemon ~jobs:1 @@ fun socket ->
+  Server.Client.with_client ~socket @@ fun c ->
+  let bad req =
+    match Server.Client.request_collect c req with
+    | [ P.Rerror { code = "bad-request"; msg } ], code ->
+      Alcotest.(check int) "usage exit" Exit.usage code;
+      msg
+    | _ -> Alcotest.fail "expected one bad-request error"
+  in
+  let msg =
+    bad
+      (P.Verify
+         {
+           style = P.Original;
+           only = [ "inv1"; "no-such-proof" ];
+           negative = false;
+           extensions = false;
+           certify = false;
+         })
+  in
+  Alcotest.(check bool) "names the unknown proof" true
+    (contains ~needle:"\"no-such-proof\"" msg);
+  let msg = bad (P.Check { cert = "(certificate (reds" }) in
+  Alcotest.(check bool) "says malformed" true
+    (contains ~needle:"malformed certificate" msg);
+  let _, code = Server.Client.request_collect c P.Ping in
+  Alcotest.(check int) "the connection still serves" Exit.ok code
+
+let gauge_value body name =
+  let needle = "\n" ^ name ^ " " in
+  let n = String.length needle and len = String.length body in
+  let rec find i =
+    if i + n > len then Alcotest.failf "no gauge %s in /metrics" name
+    else if String.sub body i n = needle then
+      let stop = String.index_from body (i + n) '\n' in
+      float_of_string (String.sub body (i + n) (stop - i - n))
+    else find (i + 1)
+  in
+  find 0
+
+(* A scrape is answered from the same loop while a campaign's verdicts
+   are still streaming to a protocol client on a 2-job daemon. *)
+let test_live_scrape_while_streaming () =
+  with_obs_daemon ~jobs:2 @@ fun socket port ->
+  with_raw socket @@ fun fd ->
+  P.Frame.write fd
+    (P.encode_request
+       (P.Verify
+          {
+            style = P.Original;
+            only = [];
+            negative = true;
+            extensions = true;
+            certify = false;
+          }));
+  (match P.Frame.read fd with
+  | Ok (Some p) -> (
+    match P.decode_response p with
+    | Ok (P.Rverdict _) -> ()
+    | _ -> Alcotest.fail "expected the campaign's first verdict")
+  | _ -> Alcotest.fail "no reply frame");
+  let code, body = http_get ~port "/metrics" in
+  Alcotest.(check int) "/metrics 200" 200 code;
+  Alcotest.(check bool) "the campaign was still queued at the scrape" true
+    (gauge_value body "server_queue_depth" >= 1.);
+  (match List.rev (tags (read_reply fd)) with
+  | "done:0" :: "summary" :: _ -> ()
+  | _ -> Alcotest.fail "the campaign did not finish with its summary");
+  (* an answered HTTP client is closed at once, not after the loop's
+     0.25 s select timeout: its read of the response ends on the close *)
+  let times =
+    List.init 5 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (http_get ~port "/healthz");
+        Unix.gettimeofday () -. t0)
+  in
+  let median = List.nth (List.sort compare times) 2 in
+  if median > 0.1 then Alcotest.failf "a /healthz round trip took %.3f s" median
+
+(* The drain ends with the last protocol client: an HTTP client that
+   connected and sent nothing does not hold it open. *)
+let test_live_idle_http_client_drain () =
+  with_obs_daemon ~jobs:1 @@ fun socket port ->
+  let idle = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close idle with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect idle (ADDR_INET (Unix.inet_addr_loopback, port));
+  (* a later scrape is answered, so the idle client has been accepted *)
+  let code, _ = http_get ~port "/healthz" in
+  Alcotest.(check int) "/healthz 200" 200 code;
+  let _, code =
+    Server.Client.with_client ~socket (fun c ->
+        Server.Client.request_collect c P.Shutdown)
+  in
+  Alcotest.(check int) "shutdown acknowledged" Exit.ok code;
+  let rec wait_gone n =
+    if not (Sys.file_exists socket) then ()
+    else if n = 0 then Alcotest.fail "an idle HTTP client held the drain open"
+    else begin
+      Unix.sleepf 0.05;
+      wait_gone (n - 1)
+    end
+  in
+  wait_gone 200
+
+let probe_module =
+  "mod PROBE {\n  [ Pn ]\n  op probez : -> Pn { ctor } .\n\
+  \  op probes : Pn -> Pn { ctor } .\n  op probeplus : Pn Pn -> Pn .\n\
+  \  vars M N : Pn .\n  eq probeplus(probez, N) = N .\n\
+  \  eq probeplus(probes(M), N) = probes(probeplus(M, N)) .\n}\n"
+
+let rec probe_num n = if n = 0 then "probez" else "probes(" ^ probe_num (n - 1) ^ ")"
+
+(* A certifying campaign records its own reds and nothing else: on a
+   4-job daemon, two full certifying campaigns at once, while a third
+   connection keeps reducing in a probe module, each certify exactly what
+   a solo campaign on the same daemon certifies. *)
+let test_live_certificates_isolated () =
+  with_daemon ~jobs:4 @@ fun socket ->
+  let certify () =
+    Server.Client.with_client ~socket @@ fun c ->
+    let resps, code =
+      Server.Client.request_collect c
+        (P.Verify
+           {
+             style = P.Original;
+             only = [];
+             negative = false;
+             extensions = false;
+             certify = true;
+           })
+    in
+    if code <> Exit.ok then failwith (Printf.sprintf "certifying campaign exit %d" code);
+    match List.find_map (function P.Rcert { cert } -> Some cert | _ -> None) resps with
+    | Some cert -> cert
+    | None -> failwith "no certificate response"
+  in
+  let solo = certify () in
+  let busy = Atomic.make true and reds = Atomic.make 0 in
+  let prober =
+    Domain.spawn (fun () ->
+        Server.Client.with_client ~socket @@ fun c ->
+        let eval src =
+          let _, code =
+            Server.Client.request_collect c
+              (P.Eval { src; step_limit = None; deadline_s = None })
+          in
+          if code <> Exit.ok then failwith "probe eval failed"
+        in
+        eval probe_module;
+        let i = ref 0 in
+        while Atomic.get busy do
+          eval
+            (Printf.sprintf "red in PROBE : probeplus(%s, %s) .\n"
+               (probe_num (1 + (!i mod 25)))
+               (probe_num (!i mod 7)));
+          Atomic.incr reds;
+          incr i
+        done)
+  in
+  let pair = List.init 2 (fun _ -> Domain.spawn certify) in
+  let certs = List.map Domain.join pair in
+  let during = Atomic.get reds in
+  Atomic.set busy false;
+  Domain.join prober;
+  Alcotest.(check bool) "probe reds ran during the campaigns" true (during > 0);
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check bool) "the solo certificate has no probe op" false
+    (contains ~needle:"probeplus" solo);
+  List.iter
+    (fun cert ->
+      Alcotest.(check bool) "no probe op" false (contains ~needle:"probeplus" cert);
+      Alcotest.(check string) "byte-identical to the solo certificate" (digest solo)
+        (digest cert))
+    certs;
+  Server.Client.with_client ~socket @@ fun c ->
+  match Server.Client.request_collect c (P.Check { cert = solo }) with
+  | resps, code ->
+    Alcotest.(check int) "the certificate checks" Exit.ok code;
+    Alcotest.(check bool) "check report ok" true
+      (List.exists (function P.Rcheck { ok; _ } -> ok | _ -> false) resps)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   List.map
@@ -1242,6 +1468,16 @@ let tests =
         `Slow test_live_large_reply_slow_reader;
       Alcotest.test_case "live: idle daemon sleeps after pool work" `Slow
         test_live_idle_after_pool_work;
+      Alcotest.test_case "live: lint served and cached" `Slow
+        test_live_lint_cached;
+      Alcotest.test_case "live: unknown proof and malformed certificate"
+        `Slow test_live_bad_requests;
+      Alcotest.test_case "live: /metrics answered while a campaign streams"
+        `Slow test_live_scrape_while_streaming;
+      Alcotest.test_case "live: an idle HTTP client does not hold a drain"
+        `Slow test_live_idle_http_client_drain;
+      Alcotest.test_case "live: certifying requests record only their own reds"
+        `Slow test_live_certificates_isolated;
     ]
 
 let suite = "server", tests
