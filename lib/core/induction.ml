@@ -29,9 +29,23 @@ type env = {
   recognizer_suffix : string;
   mutable fresh_counter : int;
   record_ctors : (string, Signature.op option) Hashtbl.t;
-      (** per-sort cache; sound because fresh constants are never
-          constructors, so later declarations cannot change the answer *)
+      (** each sort's constructor by sort name, [None] when it has
+          several; built by [make_env], shared by every branch and never
+          written after *)
 }
+
+(* Read once, from the base spec: fresh constants are never
+   constructors, so no later declaration changes the answer. *)
+let ctors_by_sort spec =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (o : Signature.op) ->
+      if Signature.is_ctor o then begin
+        let sort = o.Signature.sort.Sort.name in
+        Hashtbl.replace tbl sort (if Hashtbl.mem tbl sort then None else Some o)
+      end)
+    (Cafeobj.Spec.all_ops spec);
+  tbl
 
 let make_env ?(recognizer_suffix = "?") ~spec ~ots () =
   {
@@ -39,7 +53,7 @@ let make_env ?(recognizer_suffix = "?") ~spec ~ots () =
     env_ots = ots;
     recognizer_suffix;
     fresh_counter = 0;
-    record_ctors = Hashtbl.create 32;
+    record_ctors = ctors_by_sort spec;
   }
 
 (* A record sort has exactly one constructor, with at least one argument
@@ -51,21 +65,8 @@ let make_env ?(recognizer_suffix = "?") ~spec ~ots () =
    received quantities. *)
 let record_ctor env sort =
   match Hashtbl.find_opt env.record_ctors sort.Sort.name with
-  | Some cached -> cached
-  | None ->
-    let ctors =
-      List.filter
-        (fun (o : Signature.op) ->
-          Signature.is_ctor o && Sort.equal o.Signature.sort sort)
-        (Cafeobj.Spec.all_ops env.spec)
-    in
-    let answer =
-      match ctors with
-      | [ c ] when c.Signature.arity <> [] -> Some c
-      | _ -> None
-    in
-    Hashtbl.add env.record_ctors sort.Sort.name answer;
-    answer
+  | Some (Some c) when c.Signature.arity <> [] -> Some c
+  | Some _ | None -> None
 
 let rec fresh_at_depth env depth sort =
   match if depth <= 0 then None else record_ctor env sort with
@@ -139,17 +140,11 @@ let prove_case ?config env ~hints inv ~action =
 (* One proof case = one branch: a child spec whose fresh constants, memo
    table and step counter are private, so cases are independent — they can
    run on separate pool domains, and their results (fresh-constant
-   numbering included) do not depend on which cases ran before them.  The
-   per-sort constructor cache starts empty rather than copied: the base
-   env's cache may be mutated concurrently by non-branched use. *)
+   numbering included) do not depend on which cases ran before them.
+   The record-constructor table is shared: nothing writes it after
+   [make_env]. *)
 let branch_env env label =
-  {
-    spec = Cafeobj.Spec.branch env.spec label;
-    env_ots = env.env_ots;
-    recognizer_suffix = env.recognizer_suffix;
-    fresh_counter = 0;
-    record_ctors = Hashtbl.create 32;
-  }
+  { env with spec = Cafeobj.Spec.branch env.spec label; fresh_counter = 0 }
 
 let prove_derived ?config env ~hyps inv =
   Telemetry.Probe.with_span ~always:true ~cat:"case"

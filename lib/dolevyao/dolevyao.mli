@@ -20,7 +20,11 @@ module type ALGEBRA = sig
       the current knowledge — e.g. the fields of a pair, or the plaintext
       of a ciphertext when [knows] its decryption key.  Called repeatedly
       until fixpoint, so it may answer conservatively based on the current
-      [knows]. *)
+      [knows].  It must be pure and monotone in [knows]: a larger set
+      never yields fewer items.  The closure relies on both: an item whose
+      analysis asked only about known items is never analyzed again, and
+      one that asked about an unknown item is analyzed again each time
+      the set grows. *)
   val analyze : knows:(t -> bool) -> t -> t list
 
   (** [components item] describes how [item] could be constructed by the
@@ -35,7 +39,12 @@ module Make (A : ALGEBRA) : sig
 
   val empty : knowledge
 
-  (** [learn k items] adds [items] and re-closes under analysis. *)
+  (** [learn k items] is the least set closed under analysis that holds
+      [k] and [items].  It is incremental: [k] is already closed, so only
+      the items new to it, and the known items whose analysis waited on an
+      unknown one (such as a ciphertext whose key is unknown), are
+      analyzed.  Learning the same items in any number of calls gives the
+      same set. *)
   val learn : knowledge -> A.t list -> knowledge
 
   (** [knows k item] — is [item] literally in the closed set? *)

@@ -68,7 +68,8 @@ module Algebra = struct
 
   let compare = Term.compare
 
-  let intruder_key k = Term.equal k (D.pk_ D.intruder)
+  let intruder_pk = D.pk_ D.intruder
+  let intruder_key k = Term.equal k intruder_pk
 
   let analyze ~knows:_ t =
     match name t, args t with
@@ -117,6 +118,10 @@ type run = { who : Term.t; peer : Term.t; na : Term.t; nb : Term.t option }
 
 module TS = Term.Set
 
+(* A state's intruder knowledge: its closure, or its parent's closure and
+   the message its transition sent, or not computed yet. *)
+type kn_cache = Closed of K.knowledge | Pending of K.knowledge * Term.t | Unknown
+
 type state = {
   msgs : TS.t;
   used : TS.t;
@@ -124,7 +129,7 @@ type state = {
   rruns : run list;  (** responder sent message 2 *)
   rdones : run list;  (** responder accepted message 3 *)
   scen : scenario;
-  mutable kn : K.knowledge option;
+  mutable kn : kn_cache;
 }
 
 let initial scen =
@@ -135,20 +140,24 @@ let initial scen =
     rruns = [];
     rdones = [];
     scen;
-    kn = None;
+    kn = Unknown;
   }
 
 let seed scen =
   let prins = scen.initiators @ scen.responders @ [ D.intruder; D.ca ] in
   prins @ List.map D.pk_ prins @ scen.intruder_nonces
 
+(* Forced by whichever domain asks first; any of them computes the same
+   set.  A pending cache extends the parent's closure by one message. *)
 let knowledge st =
-  match st.kn with
-  | Some k -> k
-  | None ->
-    let k = K.learn K.empty (seed st.scen @ TS.elements st.msgs) in
-    st.kn <- Some k;
+  let close k =
+    st.kn <- Closed k;
     k
+  in
+  match st.kn with
+  | Closed k -> k
+  | Pending (k, m) -> close (K.learn k [ m ])
+  | Unknown -> close (K.learn K.empty (seed st.scen @ TS.elements st.msgs))
 
 (* A run, as the chunks [f] receives, each term printed by [term]. *)
 let emit_run term f r =
@@ -179,7 +188,7 @@ let emit_key f st =
 let key = Analysis.Symmetry.emitted_key emit_key
 
 let sorted_runs runs = List.sort (fun r1 r2 -> compare (run_str r1) (run_str r2)) runs
-let send st m = { st with msgs = TS.add m st.msgs; kn = None }
+let send st m = { st with msgs = TS.add m st.msgs; kn = Pending (knowledge st, m) }
 let fresh st = match List.filter (fun n -> not (TS.mem n st.used)) st.scen.nonces with
   | [] -> None
   | n :: _ -> Some n
@@ -288,26 +297,45 @@ let t_finish_resp st =
           (List.filter (fun m -> name m = "nm3") (TS.elements st.msgs)))
     st.rruns
 
-let all_nonces st = st.scen.nonces @ st.scen.intruder_nonces
+let all_nonces scen = scen.nonces @ scen.intruder_nonces
 
-let t_fake st =
+(* The fake messages 1 and 3 the intruder may send, each with the
+   ciphertext it must derive, in the order [t_fake] offers them: they
+   depend on the scenario only. *)
+type fake_candidates = {
+  fake_m1 : (Term.t * Term.t) list;
+  fake_m3 : (Term.t * Term.t) list;
+}
+
+let fake_candidates scen =
+  let prins = scen.initiators @ scen.responders in
+  let towards_responders mk =
+    List.concat_map
+      (fun b -> List.concat_map (fun n -> mk b n) (all_nonces scen))
+      scen.responders
+  in
+  {
+    (* Fake message 1 towards responders. *)
+    fake_m1 =
+      towards_responders (fun b n ->
+          List.map
+            (fun cl ->
+              let e = enc1 (D.pk_ b) n cl in
+              e, nm1 ~crt:D.intruder ~src:D.intruder ~dst:b e)
+            prins);
+    (* Fake message 3 towards responders. *)
+    fake_m3 =
+      towards_responders (fun b n ->
+          let e = enc3 (D.pk_ b) n in
+          [ e, nm3 ~crt:D.intruder ~src:D.intruder ~dst:b e ]);
+  }
+
+let t_fake cands st =
   let k = knowledge st in
   let fakes = ref [] in
   let push rule m = fakes := (label rule [ m ], send st m) :: !fakes in
-  let prins = st.scen.initiators @ st.scen.responders in
-  (* Fake message 1 towards responders. *)
-  List.iter
-    (fun b ->
-      List.iter
-        (fun n ->
-          List.iter
-            (fun cl ->
-              let e = enc1 (D.pk_ b) n cl in
-              if K.derivable k e then
-                push "fake-m1" (nm1 ~crt:D.intruder ~src:D.intruder ~dst:b e))
-            prins)
-        (all_nonces st))
-    st.scen.responders;
+  let offer rule = List.iter (fun (e, m) -> if K.derivable k e then push rule m) in
+  offer "fake-m1" cands.fake_m1;
   (* Fake message 2 towards initiators, seemingly from any peer the
      initiator might be running with (including the intruder itself). *)
   List.iter
@@ -317,25 +345,16 @@ let t_fake st =
           let e = msg2_enc st ~resp:r.peer ~init:r.who ~n1:r.na ~n2 in
           if K.derivable k e then
             push "fake-m2" (nm2 ~crt:D.intruder ~src:r.peer ~dst:r.who e))
-        (all_nonces st))
+        (all_nonces st.scen))
     st.istarts;
-  (* Fake message 3 towards responders. *)
-  List.iter
-    (fun b ->
-      List.iter
-        (fun n ->
-          let e = enc3 (D.pk_ b) n in
-          if K.derivable k e then
-            push "fake-m3" (nm3 ~crt:D.intruder ~src:D.intruder ~dst:b e))
-        (all_nonces st))
-    st.scen.responders;
+  offer "fake-m3" cands.fake_m3;
   !fakes
 
-let next st =
-  t_start st @ t_respond st @ t_finish_init st @ t_finish_resp st @ t_fake st
+let next cands st =
+  t_start st @ t_respond st @ t_finish_init st @ t_finish_resp st @ t_fake cands st
 
 let system scen =
-  { Mc.initial = initial scen; next; key }
+  { Mc.initial = initial scen; next = next (fake_candidates scen); key }
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -414,7 +433,7 @@ let remap_state f st =
     istarts = sorted_runs (runs st.istarts);
     rruns = sorted_runs (runs st.rruns);
     rdones = sorted_runs (runs st.rdones);
-    kn = None;
+    kn = Unknown;
   }
 
 let reduction ?(por = true) ?(symmetry = true) scen =

@@ -898,8 +898,8 @@ let run config =
        end;
        (* pump every connection's head jobs and flush what they produced;
           then, before the loop can sleep in select, close broken and
-          answered connections, and protocol clients that are idle or
-          drained during a drain *)
+          answered connections, clients of either kind that are idle, and
+          protocol clients drained during a drain *)
        Hashtbl.iter
          (fun _ c ->
            if not c.dead then begin
@@ -915,8 +915,8 @@ let run config =
              if
                c.dead
                || (c.closing && drained)
-               || is_wire c && drained
-                  && (!draining
+               || drained
+                  && ((!draining && is_wire c)
                      || config.idle_timeout_s > 0.
                         && now -. c.last_active > config.idle_timeout_s)
              then fd :: acc

@@ -3,10 +3,12 @@
 
     States carry the monotone network (a set of ground message terms from
     {!Data}), the used-value sets, the principals' session tables, and the
-    intruder's knowledge is recomputed as the Dolev-Yao closure of what is
-    gleanable from the network.  Transitions enumerate the same 12 + 15
-    rules as the symbolic model ({!Model}), instantiated over a finite
-    scenario. *)
+    intruder's knowledge: the Dolev-Yao closure of what is gleanable from
+    the network, computed when first asked for.  A successor's closure is
+    extended from its parent's by the message the transition sent; states
+    the canonizer remaps, and Oops leaks, close from the scenario's seed.
+    Transitions enumerate the same 12 + 15 rules as the symbolic model
+    ({!Model}), instantiated over a finite scenario. *)
 
 open Kernel
 

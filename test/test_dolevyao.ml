@@ -27,6 +27,26 @@ end
 
 module K = Dolevyao.Make (Algebra)
 
+(* The reference closure: the full pass the engine made before it became
+   incremental, re-analyzing every known item in every round.  [K.learn]
+   must reach the same set whichever way the items are split over calls. *)
+module S = Set.Make (Algebra)
+
+let reference_closure items =
+  let rec go k =
+    let knows item = S.mem item k in
+    let fresh =
+      S.fold
+        (fun item acc ->
+          List.fold_left
+            (fun acc sub -> if S.mem sub k then acc else S.add sub acc)
+            acc (Algebra.analyze ~knows item))
+        k S.empty
+    in
+    if S.is_empty fresh then k else go (S.union k fresh)
+  in
+  S.elements (go (S.of_list items))
+
 let k = Atom "k"
 let secret = Atom "secret"
 let nonce = Atom "nonce"
@@ -51,6 +71,19 @@ let test_decryption_key_inside_other_ciphertext () =
   Alcotest.(check bool) "nothing yet" false (K.knows kn secret);
   let kn = K.learn kn [ Atom "k2" ] in
   Alcotest.(check bool) "cascaded decryption" true (K.knows kn secret)
+
+let test_key_arrives_two_calls_later () =
+  (* The ciphertext waits through an unrelated call; its key then arrives
+     inside another ciphertext, whose own key is already known. *)
+  let k2 = Atom "k2" in
+  let kn = K.learn K.empty [ Enc (k, secret) ] in
+  let kn = K.learn kn [ k2 ] in
+  Alcotest.(check bool) "still sealed" false (K.knows kn secret);
+  let kn = K.learn kn [ Enc (k2, k) ] in
+  Alcotest.(check bool) "key learned" true (K.knows kn k);
+  Alcotest.(check bool) "ciphertext opened" true (K.knows kn secret);
+  Alcotest.(check bool) "same set as the full pass" true
+    (K.items kn = reference_closure [ Enc (k, secret); k2; Enc (k2, k) ])
 
 let test_synthesis () =
   let kn = K.learn K.empty [ k; nonce ] in
@@ -113,11 +146,24 @@ let prop_learning_is_monotone =
       let kn2 = K.learn kn1 [ x ] in
       List.for_all (K.knows kn2) (K.items kn1))
 
+let prop_split_learning =
+  QCheck.Test.make ~name:"learning in two calls equals one call and the full pass"
+    ~count:300
+    (QCheck.pair (QCheck.list_of_size QCheck.Gen.(0 -- 10) arb_item) QCheck.small_nat)
+    (fun (learned, cut) ->
+      let cut = cut mod (List.length learned + 1) in
+      let prefix = List.filteri (fun i _ -> i < cut) learned in
+      let suffix = List.filteri (fun i _ -> i >= cut) learned in
+      let split = K.learn (K.learn K.empty prefix) suffix in
+      let whole = K.learn K.empty learned in
+      K.compare split whole = 0 && K.items whole = reference_closure learned)
+
 let tests =
   [
     "analysis of pairs", `Quick, test_analysis_of_pairs;
     "decryption needs key", `Quick, test_decryption_needs_key;
     "cascaded decryption", `Quick, test_decryption_key_inside_other_ciphertext;
+    "key arrives two calls later", `Quick, test_key_arrives_two_calls_later;
     "synthesis", `Quick, test_synthesis;
     "hash one-way", `Quick, test_hash_one_way;
     "replay vs construction", `Quick, test_replay_vs_construction;
@@ -125,6 +171,6 @@ let tests =
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ?verbose:None ?long:None)
-      [ prop_known_implies_derivable; prop_learning_is_monotone ]
+      [ prop_known_implies_derivable; prop_learning_is_monotone; prop_split_learning ]
 
 let suite = "dolevyao", tests

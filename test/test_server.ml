@@ -1328,6 +1328,38 @@ let test_live_idle_http_client_drain () =
   in
   wait_gone 200
 
+(* The idle timeout closes a silent HTTP client as it does a protocol
+   client, and other HTTP clients are served while it waits. *)
+let test_live_silent_http_client_closed () =
+  let timeout = 0.3 in
+  with_obs_daemon ~jobs:1 ~config_f:(fun c -> { c with idle_timeout_s = timeout })
+  @@ fun _socket port ->
+  let silent = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close silent with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  Unix.connect silent (ADDR_INET (Unix.inet_addr_loopback, port));
+  let code, _ = http_get ~port "/healthz" in
+  Alcotest.(check int) "/healthz 200 while a silent client is open" 200 code;
+  let deadline = t0 +. (10. *. timeout) in
+  let buf = Bytes.create 64 in
+  let rec wait_eof () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then
+      Alcotest.failf "a silent HTTP client was still open after %.1f s" (10. *. timeout);
+    match Unix.select [ silent ] [] [] left with
+    | [], _, _ -> wait_eof ()
+    | _ -> (
+      match Unix.read silent buf 0 (Bytes.length buf) with
+      | 0 -> Unix.gettimeofday () -. t0
+      | n -> Alcotest.failf "a silent HTTP client was sent %d bytes" n
+      | exception Unix.Unix_error (ECONNRESET, _, _) -> Unix.gettimeofday () -. t0)
+  in
+  let closed_after = wait_eof () in
+  if closed_after < 0.9 *. timeout then
+    Alcotest.failf "a silent HTTP client was closed after %.3f s, before the idle timeout"
+      closed_after
+
 let probe_module =
   "mod PROBE {\n  [ Pn ]\n  op probez : -> Pn { ctor } .\n\
   \  op probes : Pn -> Pn { ctor } .\n  op probeplus : Pn Pn -> Pn .\n\
@@ -1476,6 +1508,8 @@ let tests =
         `Slow test_live_scrape_while_streaming;
       Alcotest.test_case "live: an idle HTTP client does not hold a drain"
         `Slow test_live_idle_http_client_drain;
+      Alcotest.test_case "live: the idle timeout closes a silent HTTP client"
+        `Slow test_live_silent_http_client_closed;
       Alcotest.test_case "live: certifying requests record only their own reds"
         `Slow test_live_certificates_isolated;
     ]
