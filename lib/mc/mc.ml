@@ -1,7 +1,9 @@
+type key = Kernel.Term.t array
+
 type ('state, 'action) system = {
   initial : 'state;
   next : 'state -> ('action * 'state) list;
-  key : 'state -> string;
+  key : 'state -> key;
 }
 
 type ('state, 'action) reduction = {
@@ -30,7 +32,39 @@ type 'action outcome =
   | Violation of 'action violation * stats
   | Out_of_bounds of stats
 
-exception Found of string * int
+let marker_sig = Kernel.Signature.create ()
+let marker_sort = Kernel.Sort.visible "McKeyMarker"
+
+let marker name =
+  Kernel.Term.const (Kernel.Signature.declare marker_sig name [] marker_sort ~attrs:[])
+
+(* Keys compare elementwise by identity and hash by their terms' ids, with
+   no allocation.  The seen table holds every stored key, so no term of
+   one is collected, and no id reissued, while a search runs. *)
+module Key = struct
+  type t = key
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get a !i == Array.unsafe_get b !i do
+      incr i
+    done;
+    !i = n
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 31) + Kernel.Term.id_hash (Array.unsafe_get a i)
+    done;
+    !h land max_int
+end
+
+module Keys = Hashtbl.Make (Key)
+
+exception Found of key * int * string
 
 let c_pruned = Telemetry.Probe.counter ~live:true "mc.por.pruned"
 
@@ -39,7 +73,7 @@ let c_pruned = Telemetry.Probe.counter ~live:true "mc.por.pruned"
    compound edge, so [via] is a label {e chain}: singleton for an ordinary
    step, the fired sequence for a compound one, flattened on trace
    reconstruction. *)
-type 'a node = { parent_key : string option; via : 'a list; depth : int }
+type 'a node = { parent_key : key option; via : 'a list; depth : int }
 
 (* Saturate the certified-independent ample transitions from [s] into one
    compound step: repeatedly follow the first ample successor whose
@@ -61,7 +95,7 @@ let flood ~red ~key ~next ~peek s k =
             if red.ample a then begin
               let s' = red.canon s' in
               let k' = key s' in
-              if String.equal k' k then None else Some (a, s', k')
+              if Key.equal k' k then None else Some (a, s', k')
             end
             else None)
           (next s)
@@ -146,7 +180,7 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
   let t0 = Telemetry.Probe.now_ns () in
   let red = Option.value reduction ~default:no_reduction in
   let reduced = Option.is_some reduction in
-  let seen : (string, 'a node) Hashtbl.t = Hashtbl.create 4096 in
+  let seen : 'a node Keys.t = Keys.create 4096 in
   let states = ref 0 in
   let transitions = ref 0 in
   let pruned = ref 0 in
@@ -156,7 +190,7 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
   let frontier = ref [] in
   let trace_to key =
     let rec go key acc =
-      match Hashtbl.find seen key with
+      match Keys.find seen key with
       | { parent_key = None; _ } -> acc
       | { parent_key = Some pk; via; _ } -> go pk (via @ acc)
     in
@@ -165,12 +199,12 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
   (* [state] must already be canonical. *)
   let enqueue state parent_key via depth =
     let k = system.key state in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k { parent_key; via; depth };
+    if not (Keys.mem seen k) then begin
+      Keys.add seen k { parent_key; via; depth };
       incr states;
       if depth > !deepest then deepest := depth;
       (match stop state with
-      | Some (_ : string) -> raise (Found (k, depth))
+      | Some name -> raise (Found (k, depth, name))
       | None -> ());
       if depth < max_depth then frontier := (state, k, depth) :: !frontier
       else complete := false
@@ -200,7 +234,7 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
             flood ~red ~key:system.key ~next:system.next ~peek state k
           in
           (* an ample set that only shuffles within the current orbit *)
-          if String.equal k_end k then [ Prune (List.length amples) ]
+          if Key.equal k_end k then [ Prune (List.length amples) ]
           else [ Comp (labels, s_end, List.length amples - 1) ]
       in
       compound @ List.map (fun (a, s') -> Step (a, red.canon s')) honest
@@ -246,39 +280,25 @@ let explore ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction ?pool
       !complete && not (!compound_fired && max_depth < max_int)
     in
     `Exhausted (mk_stats (), genuinely_complete)
-  with Found (key, depth) -> `Stopped (mk_stats (), trace_to key, depth)
+  with Found (key, depth, name) -> `Stopped (mk_stats (), trace_to key, depth, name)
 
-let outcome_of_explore violated = function
+let outcome_of_explore = function
   | `Exhausted (stats, true) -> No_violation stats
   | `Exhausted (stats, false) -> Out_of_bounds stats
-  | `Stopped (stats, trace, depth) ->
-    Violation ({ property = !violated; trace; depth }, stats)
+  | `Stopped (stats, trace, depth, property) -> Violation ({ property; trace; depth }, stats)
 
-(* [stop] returns the name of a *violated* property. *)
-let stop_of_props props =
-  let violated = ref "" in
-  let stop state =
-    match
-      List.find_map
-        (fun (name, pred) -> if pred state then None else Some name)
-        props
-    with
-    | Some name ->
-      violated := name;
-      Some name
-    | None -> None
-  in
-  violated, stop
+(* The first property, in the order listed, that [state] violates.  It
+   names the violation the merge stops at: pool workers call it too, on
+   the states their chases peek at, so it keeps no state of its own. *)
+let violated props state =
+  List.find_map (fun (name, pred) -> if pred state then None else Some name) props
 
 let par_bfs ?max_states ?max_depth ?reduction ~pool system ~props =
-  let violated, stop = stop_of_props props in
-  outcome_of_explore violated
-    (explore ?max_states ?max_depth ?reduction ~pool system ~stop)
+  outcome_of_explore
+    (explore ?max_states ?max_depth ?reduction ~pool system ~stop:(violated props))
 
 let bfs ?max_states ?max_depth ?reduction system ~props =
-  let violated, stop = stop_of_props props in
-  outcome_of_explore violated
-    (explore ?max_states ?max_depth ?reduction system ~stop)
+  outcome_of_explore (explore ?max_states ?max_depth ?reduction system ~stop:(violated props))
 
 let reachable ?max_states ?max_depth ?reduction system ~goal =
   let witness = ref None in
@@ -291,7 +311,7 @@ let reachable ?max_states ?max_depth ?reduction system ~goal =
   in
   match explore ?max_states ?max_depth ?reduction system ~stop with
   | `Exhausted _ -> None
-  | `Stopped (_, trace, _) -> (
+  | `Stopped (_, trace, _, _) -> (
     match !witness with Some s -> Some (trace, s) | None -> None)
 
 let outcome_stats = function

@@ -8,14 +8,32 @@
 
     The checker is generic: a system is a record of initial state, enabled
     transitions and state identity.  States are deduplicated with a hash
-    table over a caller-supplied canonical key. *)
+    table over a caller-supplied key of interned terms. *)
+
+(** A state's identity: a flat array of interned terms.  Two keys are the
+    same when they hold the same terms, by identity, in the same order;
+    the seen table hashes the terms' {!Kernel.Term.id_hash} and compares
+    them with [==], so neither printing nor structural comparison is ever
+    needed.  A model whose state has several variable-length parts lays
+    them out one after another with a {!marker} between each two, so that
+    the key tells where each part ends.
+
+    A printed form of a state, where one is needed (symmetry canonization
+    orders the images of a state by theirs), belongs to the model. *)
+type key = Kernel.Term.t array
+
+(** [marker name] is a constant term of the checker's own signature, for
+    separating the parts of a {!key}: its operator, called [name], is
+    declared in no protocol specification, so it is equal to no term of
+    a model's state.  Make markers once and share them between keys. *)
+val marker : string -> Kernel.Term.t
 
 type ('state, 'action) system = {
   initial : 'state;
   next : 'state -> ('action * 'state) list;
       (** enabled transitions in the given state *)
-  key : 'state -> string;
-      (** canonical identity: two states with the same key are merged *)
+  key : 'state -> key;
+      (** identity: two states with the same key are merged *)
 }
 
 (** A state-space reduction, justified by the static analyses of

@@ -171,8 +171,8 @@ let emit_run term f r =
 
 let run_str = Analysis.Symmetry.emitted_key (emit_run Term.to_string)
 
-(* The state key, as the chunks [f] receives in order: [key] joins them,
-   the canonizer compares them as they come. *)
+(* The printed state key, as the chunks [f] receives in order:
+   [printed_key] joins them, the canonizer compares them as they come. *)
 let emit_key f st =
   let term = Tls.Concrete.printed_term () in
   let add t = f (term t) in
@@ -185,7 +185,45 @@ let emit_key f st =
       List.iter (emit_run term f) runs)
     [ "|i:", st.istarts; "|r:", st.rruns; "|d:", st.rdones ]
 
-let key = Analysis.Symmetry.emitted_key emit_key
+let printed_key = Analysis.Symmetry.emitted_key emit_key
+
+(* The state's identity for the model checker: the terms [emit_key]
+   prints, in the same order, with a marker where it prints a section's
+   label and one for a run's absent [nb], so every run is four terms. *)
+let m_used = Mc.marker "|"
+let m_istarts = Mc.marker "|i:"
+let m_rruns = Mc.marker "|r:"
+let m_rdones = Mc.marker "|d:"
+let m_absent = Mc.marker "_"
+
+let key st =
+  let n =
+    TS.cardinal st.msgs + TS.cardinal st.used
+    + (4 * (List.length st.istarts + List.length st.rruns + List.length st.rdones))
+    + 4
+  in
+  let k = Array.make n m_used and i = ref 0 in
+  let add t =
+    Array.unsafe_set k !i t;
+    incr i
+  in
+  let runs marker rs =
+    add marker;
+    List.iter
+      (fun r ->
+        add r.who;
+        add r.peer;
+        add r.na;
+        add (match r.nb with None -> m_absent | Some n -> n))
+      rs
+  in
+  TS.iter add st.msgs;
+  add m_used;
+  TS.iter add st.used;
+  runs m_istarts st.istarts;
+  runs m_rruns st.rruns;
+  runs m_rdones st.rdones;
+  k
 
 let sorted_runs runs = List.sort (fun r1 r2 -> compare (run_str r1) (run_str r2)) runs
 let send st m = { st with msgs = TS.add m st.msgs; kn = Pending (knowledge st, m) }

@@ -46,11 +46,20 @@ type label = { rule : string; args : Term.t list }
     {!Kernel.Term.to_string} of each argument, space-separated. *)
 val pp_label : Format.formatter -> label -> unit
 
-(** [system scenario] packages everything for {!Mc.bfs}.  The state key
-    is written once, as a sequence of chunks (separators, and each term
-    as {!Tls.Concrete.printed_term} renders it); the system's [key] joins
-    them, and {!reduction}'s canonizer compares a state's images as their
-    chunks print, stopping at the first byte that differs. *)
+(** [printed_key st] is the state's key as text: the network, the used
+    nonces, then the initiators' started runs and the responders' runs
+    and finished runs, each list behind its label, every term as
+    {!Tls.Concrete.printed_term} renders it.  It is written once, as a
+    sequence of chunks, which {!reduction}'s canonizer compares as they
+    print, stopping at the first byte that differs, to order a state's
+    images.  The model checker does not read it. *)
+val printed_key : state -> string
+
+(** [system scenario] packages everything for {!Mc.bfs}.  Its [key] holds
+    the terms {!printed_key} prints, in the same order, with an
+    {!Mc.marker} where the printed key has a label and one for a run's
+    absent second nonce, so every run is four terms.  Two states have the
+    same key exactly when their printed keys are equal. *)
 val system : scenario -> (state, label) Mc.system
 
 (** [responder_agreement st]: whenever an honest responder [b] finished a

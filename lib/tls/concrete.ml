@@ -258,8 +258,8 @@ let printed_term () =
         Term.Tbl.add tbl t s;
         s)
 
-(* The state key, as the chunks [f] receives in order: [key] joins them,
-   the canonizer compares them as they come. *)
+(* The printed state key, as the chunks [f] receives in order:
+   [printed_key] joins them, the canonizer compares them as they come. *)
 let emit_key f st =
   let term = printed_term () in
   let add t = f (term t) in
@@ -288,7 +288,48 @@ let emit_key f st =
       sep "," e.sess_pms)
     st.sessions
 
-let key = Analysis.Symmetry.emitted_key emit_key
+let printed_key = Analysis.Symmetry.emitted_key emit_key
+
+(* The state's identity for the model checker: the terms [emit_key]
+   prints, in the same order, with a marker where it prints a section's
+   label.  Each session entry is seven terms, so entries need none. *)
+let m_ur = Mc.marker "|ur:"
+let m_ui = Mc.marker "|ui:"
+let m_us = Mc.marker "|us:"
+let m_oops = Mc.marker "|oops:"
+let m_ss = Mc.marker "|ss:"
+
+let key st =
+  let n =
+    TS.cardinal st.msgs + TS.cardinal st.ur + TS.cardinal st.ui + TS.cardinal st.us
+    + TS.cardinal st.leaked + (7 * List.length st.sessions) + 5
+  in
+  let k = Array.make n m_ur and i = ref 0 in
+  let add t =
+    Array.unsafe_set k !i t;
+    incr i
+  in
+  TS.iter add st.msgs;
+  add m_ur;
+  TS.iter add st.ur;
+  add m_ui;
+  TS.iter add st.ui;
+  add m_us;
+  TS.iter add st.us;
+  add m_oops;
+  TS.iter add st.leaked;
+  add m_ss;
+  List.iter
+    (fun e ->
+      add e.sess_owner;
+      add e.sess_peer;
+      add e.sess_sid;
+      add e.sess_suite;
+      add e.sess_r1;
+      add e.sess_r2;
+      add e.sess_pms)
+    st.sessions;
+  k
 
 (* ------------------------------------------------------------------ *)
 (* Transition enumeration *)
@@ -863,9 +904,10 @@ let t_fake_hellos st =
     st.scen.clients;
   !fakes
 
-let t_fake_ct st =
-  let k = knowledge st in
-  let sigs = List.filter (is_named "sig") (K.items k) in
+(* The fakes below read the closed knowledge [items] as [K.items] lists
+   it, filtered by kind. *)
+let t_fake_ct st items =
+  let sigs = List.filter (is_named "sig") items in
   List.concat_map
     (fun g ->
       match args g with
@@ -884,8 +926,7 @@ let t_fake_ct st =
       | _ -> [])
     sigs
 
-let t_fake_replays st =
-  let k = knowledge st in
+let t_fake_replays st items =
   (* Replays only reach parties that actually inspect the message kind:
      clients never read kx/cf messages, servers never read sf ones. *)
   let replay kind mk ciph_name ~srcs ~dsts =
@@ -899,7 +940,7 @@ let t_fake_replays st =
                 label kind [ m ], send st m)
               dsts)
           srcs)
-      (List.filter (is_named ciph_name) (K.items k))
+      (List.filter (is_named ciph_name) items)
   in
   let cl = st.scen.clients and sv = st.scen.servers in
   replay "fakeKx1" (fun ~src ~dst e -> D.kx_ ~crt:D.intruder ~src ~dst e) "epms"
@@ -916,7 +957,7 @@ let t_fake_replays st =
 (* Receiver-driven constructed fakes: for every conversation an honest
    party could be waiting on, construct exactly the ciphertext it would
    accept and send it if derivable. *)
-let t_fake_constructed st =
+let t_fake_constructed st items =
   let k = knowledge st in
   let fakes = ref [] in
   let push rule m = fakes := (label rule [ m ], send st m) :: !fakes in
@@ -933,7 +974,7 @@ let t_fake_constructed st =
               List.iter
                 (fun a -> push "fakeKx2" (D.kx_ ~crt:D.intruder ~src:a ~dst:b e))
                 st.scen.clients)
-          (List.filter (is_named "pms") (K.items k)))
+          (List.filter (is_named "pms") items))
     st.scen.servers;
   (* cf fakes: what would server b accept given (ch, sh, ct) + some kx? *)
   List.iter
@@ -1031,10 +1072,11 @@ let t_oops st =
       st.sessions
 
 let next st =
+  let items = K.items (knowledge st) in
   t_oops st @ t_chello st @ t_shello st @ t_cert st @ t_kexch st @ t_cfin st @ t_sfin st
   @ t_compl st @ t_chello2 st @ t_shello2 st @ t_sfin2 st @ t_cfin2 st
-  @ t_compl2 st @ t_fake_hellos st @ t_fake_ct st @ t_fake_replays st
-  @ t_fake_constructed st
+  @ t_compl2 st @ t_fake_hellos st @ t_fake_ct st items @ t_fake_replays st items
+  @ t_fake_constructed st items
 
 let system scen =
   { Mc.initial = initial scen; next; key }

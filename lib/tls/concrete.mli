@@ -72,11 +72,20 @@ val pp_label : Format.formatter -> label -> unit
     chunk taken from it. *)
 val printed_term : unit -> Term.t -> string
 
-(** [system scenario] packages everything for {!Mc.bfs}.  The state key
-    is written once, as a sequence of chunks (separators, and each term
-    as {!printed_term} renders it); the system's [key] joins them, and
-    {!reduction}'s canonizer compares a state's images as their chunks
-    print, stopping at the first byte that differs. *)
+(** [printed_key st] is the state's key as text: each network message
+    followed by a newline, then the used rands, sids and secrets, the
+    leaked keys and the session table, each behind its label, every term
+    as {!printed_term} renders it.  It is written once, as a sequence of
+    chunks, which {!reduction}'s canonizer compares as they print,
+    stopping at the first byte that differs, to order a state's images.
+    The model checker does not read it. *)
+val printed_key : state -> string
+
+(** [system scenario] packages everything for {!Mc.bfs}.  Its [key] holds
+    the terms {!printed_key} prints, in the same order, with an
+    {!Mc.marker} where the printed key has a section label; each session
+    entry is seven terms.  Two states have the same key exactly when
+    their printed keys are equal. *)
 val system : scenario -> (state, label) Mc.system
 
 (** {1 The paper's properties as state predicates} *)

@@ -6,11 +6,14 @@
 (* ------------------------------------------------------------------ *)
 (* Generic checker on a toy counter system *)
 
+(* A toy state's key: the integer as one interned term. *)
+let int_key n = [| Kernel.Term.var (string_of_int n) (Kernel.Sort.visible "ToyState") |]
+
 let counter_system ~limit =
   {
     Mc.initial = 0;
     next = (fun n -> if n >= limit then [] else [ "inc", n + 1 ]);
-    key = string_of_int;
+    key = int_key;
   }
 
 let test_bfs_exhausts () =
@@ -312,7 +315,7 @@ let branching_system =
         List.filter
           (fun (_, m) -> m < 200)
           [ "dbl1", (2 * n) + 1; "dbl2", (2 * n) + 2; "add3", n + 3; "add6", n + 6 ]);
-    key = string_of_int;
+    key = int_key;
   }
 
 (* "add3" and "add6" are the ample actions, so each compound step
@@ -392,7 +395,7 @@ let wide_system ?(raise_at = -1) calls =
         else if n = 0 then List.init 2000 (fun i -> "spread", i + 1)
         else if n <= 2000 then [ "one", (10_000 * n) + 1; "two", (10_000 * n) + 2 ]
         else []);
-    key = string_of_int;
+    key = int_key;
   }
 
 (* The violation (state 10 001) is a successor of the first state of level 1,
@@ -443,6 +446,68 @@ let test_par_bfs_next_raises () =
         ~props:[ "not-10000002", (fun n -> n <> 10_000_002) ])
     [ 2; 3 ]
 
+(* Two properties under a reduction, on a wide toy system: of level 1's
+   400 states, state 1 has an ordinary successor that violates "a", and
+   each of states 33..400 (the chunks after the first) an ample one that
+   violates "b", which the compound chases on the pool's workers peek at.
+   Each peek at a "b" state waits until "a" has been seen violated (or
+   half a second has passed), so it comes after the merge has stopped at
+   "a".  The violation reported is the one the merge stopped at, with its
+   trace, as [bfs] reports it. *)
+let test_par_bfs_names_its_violation () =
+  let run search =
+    let a_seen = Atomic.make false and gave_up = Atomic.make false in
+    let system =
+      {
+        Mc.initial = 0;
+        next =
+          (fun n ->
+            if n = 0 then List.init 400 (fun i -> "spread", i + 1)
+            else if n = 1 then [ "to-a", -1 ]
+            else if n > 32 && n <= 400 then [ "amp", 1000 + n ]
+            else []);
+        key = int_key;
+      }
+    in
+    let wait_for_a () =
+      let t0 = Unix.gettimeofday () in
+      while not (Atomic.get a_seen || Atomic.get gave_up) do
+        if Unix.gettimeofday () -. t0 > 0.5 then Atomic.set gave_up true;
+        Domain.cpu_relax ()
+      done
+    in
+    let props =
+      [
+        ( "a",
+          fun n ->
+            n <> -1
+            ||
+            (Atomic.set a_seen true;
+             false) );
+        ( "b",
+          fun n ->
+            n < 1000
+            ||
+            (wait_for_a ();
+             false) );
+      ]
+    in
+    search ~reduction:{ Mc.ample = (fun a -> a = "amp"); canon = Fun.id } system ~props
+  in
+  let seq = run (fun ~reduction system ~props -> Mc.bfs ~reduction system ~props) in
+  (match seq with
+  | Mc.Violation (v, _) -> Alcotest.(check string) "bfs stops at a" "a" v.Mc.property
+  | _ -> Alcotest.fail "expected a violation");
+  List.iter
+    (fun jobs ->
+      Sched.Pool.with_pool ~jobs @@ fun pool ->
+      let par = run (fun ~reduction system ~props -> Mc.par_bfs ~reduction ~pool system ~props) in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: same violation and trace" jobs)
+        true
+        (outcome_sig seq = outcome_sig par))
+    [ 2; 3 ]
+
 let tests =
   [
     "bfs exhausts", `Quick, test_bfs_exhausts;
@@ -468,6 +533,7 @@ let tests =
     "par_bfs tls 2'", `Quick, test_par_bfs_tls;
     "par_bfs stops soon after a violation", `Quick, test_par_bfs_stops_at_violation;
     "par_bfs propagates an exception from next", `Quick, test_par_bfs_next_raises;
+    "par_bfs names the violation it stops at", `Quick, test_par_bfs_names_its_violation;
   ]
 
 let suite = "model-checker", tests

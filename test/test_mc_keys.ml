@@ -1,9 +1,11 @@
 (* State keys and symmetry canonization of the concrete models, pinned.
 
-   The model checker deduplicates states by their key strings and canonizes
-   them to the orbit minimum over the interchangeable fresh values, so a
-   single moved key byte changes which states merge, and a different orbit
-   representative changes the keys the search stores.  Two oracles:
+   The models print each state's key, and the canonizer picks the orbit
+   minimum of the printed keys over the interchangeable fresh values, so a
+   single moved key byte can change which image represents an orbit, and
+   with it the states the search stores.  The model checker merges states
+   by keys of interned terms, which must make the same states equal as
+   the printed keys (checked below).  Two oracles:
 
    - golden digests: the md5 of the newline-joined keys, raw and canonized,
      of a fixed set of states, recorded with the [Format]-based term
@@ -77,7 +79,9 @@ type group =
   | Group : {
       g_name : string;
       g_key : 's -> string;
+      g_ident : 's -> Mc.key;
       g_canon : 's -> 's;
+      g_collapse : 's -> 's;
       g_ref : 's -> 's;
       g_states : 's list;
     }
@@ -98,9 +102,11 @@ let tls_group name scen states =
   Group
     {
       g_name = name;
-      g_key = sys.Mc.key;
+      g_key = Tls.Concrete.printed_key;
+      g_ident = sys.Mc.key;
       g_canon = (Tls.Concrete.reduction scen).Mc.canon;
-      g_ref = ref_canon pool ~remap:Tls.Concrete.remap_state ~key:sys.Mc.key;
+      g_collapse = Tls.Concrete.remap_state (fun _ -> List.hd honest);
+      g_ref = ref_canon pool ~remap:Tls.Concrete.remap_state ~key:Tls.Concrete.printed_key;
       g_states = states sys;
     }
 
@@ -114,9 +120,11 @@ let nspk_group name scen =
   Group
     {
       g_name = name;
-      g_key = sys.Mc.key;
+      g_key = Nspk.printed_key;
+      g_ident = sys.Mc.key;
       g_canon = (Nspk.reduction scen).Mc.canon;
-      g_ref = ref_canon pool ~remap:Nspk.remap_state ~key:sys.Mc.key;
+      g_collapse = Nspk.remap_state (fun _ -> List.hd scen.Nspk.nonces);
+      g_ref = ref_canon pool ~remap:Nspk.remap_state ~key:Nspk.printed_key;
       g_states = Test_mc_reduction.sample_states sys ~depth:3 ~limit:300;
     }
 
@@ -230,6 +238,72 @@ let test_oops_states_cover_sessions () =
       (List.exists (fun k -> not (has "|oops:|ss:" k)) keys)
 
 (* ------------------------------------------------------------------ *)
+(* The model checker's keys against the printed keys                   *)
+
+(* [Mc] merges states by their keys of interned terms, the reference
+   orbit minimum and the golden digests read the printed keys: the two
+   must make the same states equal.  Checked on every state of each group,
+   its canonical image, and its image with every term [remap_state]
+   touches collapsed onto one value, where sections repeat one term and
+   only the section boundaries tell states apart.  The default NSPK
+   scenario has two honest nonces, so no responder runs twice on one
+   message 1; with three, within four steps, it does, and collapsed, the
+   responders' runs [[r; r]] and [[r]] followed by the finished runs [[r]]
+   differ only where the finished runs begin. *)
+let check_keys_agree name ~ident ~printed states =
+  let by_printed = Hashtbl.create 1024 and by_ident = Hashtbl.create 1024 in
+  let ids k =
+    String.concat "," (Array.to_list (Array.map (fun t -> string_of_int (Kernel.Term.id t)) k))
+  in
+  List.iteri
+    (fun i s ->
+      let p = printed s and k = ids (ident s) in
+      (match Hashtbl.find_opt by_printed p with
+      | Some k' when not (String.equal k k') ->
+        Alcotest.failf "%s state %d: its printed key is another state's, its key is not:\n%s" name
+          i p
+      | Some _ -> ()
+      | None -> Hashtbl.add by_printed p k);
+      match Hashtbl.find_opt by_ident k with
+      | Some p' when not (String.equal p p') ->
+        Alcotest.failf "%s state %d: its key is another state's, its printed key is not:\n%s\n%s"
+          name i p p'
+      | Some _ -> ()
+      | None -> Hashtbl.add by_ident k p)
+    states;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d states, some equal" name (List.length states))
+    true
+    (Hashtbl.length by_printed < List.length states)
+
+let test_keys_agree_with_printed () =
+  List.iter
+    (fun (Group g) ->
+      check_keys_agree g.g_name ~ident:g.g_ident ~printed:g.g_key
+        (List.concat_map (fun s -> [ s; g.g_canon s; g.g_collapse s ]) g.g_states))
+    (Lazy.force groups_l);
+  List.iter
+    (fun (name, variant) ->
+      let scen = Nspk.default_scenario variant in
+      let scen =
+        {
+          scen with
+          Nspk.nonces = scen.Nspk.nonces @ scen.Nspk.intruder_nonces;
+          intruder_nonces = [];
+        }
+      in
+      let sys = Nspk.system scen in
+      let collapse = Nspk.remap_state (fun _ -> List.hd scen.Nspk.nonces) in
+      let states = ref [] in
+      ignore
+        (Test_mc_reduction.ref_search ~max_depth:4
+           ~on_state:(fun s -> states := s :: collapse s :: !states)
+           ~printed_key:Nspk.printed_key sys ~props:[]);
+      check_keys_agree (name ^ ", three honest nonces") ~ident:sys.Mc.key
+        ~printed:Nspk.printed_key !states)
+    [ "nspk", Nspk.Classic; "nsl", Nspk.Lowe_fixed ]
+
+(* ------------------------------------------------------------------ *)
 (* Canonizer against the reference                                     *)
 
 let test_canon_matches_reference () =
@@ -334,6 +408,7 @@ let tests =
     "golden state keys from two domains", `Quick, test_golden_keys_two_domains;
     "oops states cover sessions and leaks", `Quick, test_oops_states_cover_sessions;
     "canon matches the reference orbit minimum", `Quick, test_canon_matches_reference;
+    "keys equal exactly when printed keys are", `Quick, test_keys_agree_with_printed;
     QCheck_alcotest.to_alcotest prop_canonizer_on_term_lists;
     QCheck_alcotest.to_alcotest prop_compare_emitted;
   ]

@@ -246,25 +246,185 @@ let sample_states system ~depth ~limit =
   go system.Mc.initial 0;
   !out
 
-let check_canon_idempotent name system (red : (_, _) Mc.reduction) states =
+let check_canon_idempotent name printed_key (red : (_, _) Mc.reduction) states =
   List.iteri
     (fun i s ->
       let c = red.Mc.canon s in
       let cc = red.Mc.canon c in
       Alcotest.(check string)
         (Printf.sprintf "%s state %d: canon(canon s) = canon s" name i)
-        (system.Mc.key c) (system.Mc.key cc))
+        (printed_key c) (printed_key cc))
     states
 
 let test_canon_idempotent () =
   let nsl = Lazy.force nsl_scen_l in
   let nsys = Nspk.system nsl in
-  check_canon_idempotent "nsl" nsys (Nspk.reduction nsl)
+  check_canon_idempotent "nsl" Nspk.printed_key (Nspk.reduction nsl)
     (sample_states nsys ~depth:3 ~limit:300);
   let tls = Lazy.force tls_scen_l in
   let tsys = Tls.Concrete.system tls in
-  check_canon_idempotent "tls" tsys (Tls.Concrete.reduction tls)
+  check_canon_idempotent "tls" Tls.Concrete.printed_key (Tls.Concrete.reduction tls)
     (sample_states tsys ~depth:2 ~limit:60)
+
+(* ------------------------------------------------------------------ *)
+(* Mc's search against a reference that merges states by printed keys  *)
+
+(* The reference: Mc's search written plainly, on one domain, with its
+   seen table keyed by the models' printed keys.  Each frontier state, in
+   order, is checked against the state bound, expanded (under a
+   reduction: the compound chase over the ample successors, then the
+   other successors canonized) and its successors merged at once; the
+   first new state that violates a property, in the order the properties
+   are listed, ends the search.  [on_state] sees every merged state. *)
+exception Ref_stop of string * string * int
+
+let ref_search ?(max_states = 1_000_000) ?(max_depth = max_int) ?reduction
+    ?(on_state = ignore) ~printed_key system ~props =
+  let red =
+    Option.value reduction ~default:{ Mc.ample = (fun _ -> false); canon = Fun.id }
+  in
+  let seen = Hashtbl.create 4096 in
+  let states = ref 0 and transitions = ref 0 and pruned = ref 0 and deepest = ref 0 in
+  let complete = ref true and compound = ref false and frontier = ref [] in
+  let violated s = List.find_map (fun (name, p) -> if p s then None else Some name) props in
+  let rec trace k acc =
+    match Hashtbl.find seen k with
+    | None, _ -> acc
+    | Some parent, via -> trace parent (via @ acc)
+  in
+  let merge s parent via depth =
+    let k = printed_key s in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k (parent, via);
+      incr states;
+      deepest := max !deepest depth;
+      on_state s;
+      Option.iter (fun name -> raise (Ref_stop (name, k, depth))) (violated s);
+      if depth < max_depth then frontier := (s, k, depth) :: !frontier else complete := false
+    end
+  in
+  let rec chase s k labels n =
+    let step (a, s') =
+      if not (red.Mc.ample a) then None
+      else
+        let s' = red.Mc.canon s' in
+        let k' = printed_key s' in
+        if String.equal k' k then None else Some (a, s', k')
+    in
+    match if n >= 256 then None else List.find_map step (system.Mc.next s) with
+    | None -> List.rev labels, s, k
+    | Some (a, s', k') ->
+      if Option.is_some (violated s') then List.rev (a :: labels), s', k'
+      else chase s' k' (a :: labels) (n + 1)
+  in
+  let expand (s, k, depth) =
+    if !states > max_states then complete := false
+    else begin
+      let amples, others =
+        List.partition (fun (a, _) -> red.Mc.ample a) (system.Mc.next s)
+      in
+      if amples <> [] then begin
+        let labels, s', k' = chase s k [] 0 in
+        if String.equal k' k then pruned := !pruned + List.length amples
+        else begin
+          incr transitions;
+          compound := true;
+          pruned := !pruned + List.length amples - 1;
+          merge s' (Some k) labels (depth + 1)
+        end
+      end;
+      List.iter
+        (fun (a, s') ->
+          incr transitions;
+          merge (red.Mc.canon s') (Some k) [ a ] (depth + 1))
+        others
+    end
+  in
+  let stats () = !states, !transitions, !pruned, !deepest in
+  match
+    merge (red.Mc.canon system.Mc.initial) None [] 0;
+    while !frontier <> [] do
+      let level = List.rev !frontier in
+      frontier := [];
+      List.iter expand level
+    done
+  with
+  | () ->
+    if !complete && not (!compound && max_depth < max_int) then `No_violation (stats ())
+    else `Out_of_bounds (stats ())
+  | exception Ref_stop (name, k, depth) -> `Violation (name, trace k [], depth, stats ())
+
+(* An outcome of Mc in the reference's shape. *)
+let of_outcome outcome =
+  let st = Mc.outcome_stats outcome in
+  let stats =
+    st.Mc.states_explored, st.Mc.transitions_fired, st.Mc.states_pruned, st.Mc.max_depth
+  in
+  match outcome with
+  | Mc.No_violation _ -> `No_violation stats
+  | Mc.Out_of_bounds _ -> `Out_of_bounds stats
+  | Mc.Violation (v, _) -> `Violation (v.Mc.property, v.Mc.trace, v.Mc.depth, stats)
+
+(* What the reference and Mc must agree on: the outcome, the violated
+   property, its depth and its trace as [pp] prints it, and the state,
+   transition and pruned counts and the depth reached. *)
+let print_outcome pp = function
+  | `No_violation (s, t, p, d) -> Printf.sprintf "no violation %d/%d/%d/%d" s t p d
+  | `Out_of_bounds (s, t, p, d) -> Printf.sprintf "out of bounds %d/%d/%d/%d" s t p d
+  | `Violation (name, trace, depth, (s, t, p, d)) ->
+    Printf.sprintf "violation of %s at depth %d %d/%d/%d/%d:\n%s" name depth s t p d
+      (String.concat "\n" (List.map (Format.asprintf "%a" pp) trace))
+
+(* [reduction ()] gives each search a fresh canonizer, as in
+   [test_par_bfs_reduction_agrees]. *)
+let test_keys_against_printed_reference () =
+  Sched.Pool.with_pool ~jobs:2 @@ fun pool ->
+  let check name ?max_states ?max_depth ?reduction ~printed_key ~pp system props =
+    let fresh () = Option.map (fun r -> r ()) reduction in
+    let expected =
+      ref_search ?max_states ?max_depth ?reduction:(fresh ()) ~printed_key system ~props
+    in
+    let seq = Mc.bfs ?max_states ?max_depth ?reduction:(fresh ()) system ~props in
+    let par = Mc.par_bfs ?max_states ?max_depth ?reduction:(fresh ()) ~pool system ~props in
+    List.iter
+      (fun (engine, o) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s" name engine)
+          (print_outcome pp expected)
+          (print_outcome pp (of_outcome o)))
+      [ "bfs", seq; "par_bfs", par ]
+  in
+  let tls = Lazy.force tls_scen_l in
+  let tsys = Tls.Concrete.system tls in
+  let tls_check name ?max_states ?max_depth ?reduction props =
+    check name ?max_states ?max_depth ?reduction ~printed_key:Tls.Concrete.printed_key
+      ~pp:Tls.Concrete.pp_label tsys props
+  in
+  tls_check "tls 2' unreduced" ~max_states:20_000 ~max_depth:6
+    [ "cf-authentic", Tls.Concrete.prop_cf_authentic ];
+  tls_check "tls 3' unreduced" ~max_states:3_000 ~max_depth:6
+    [ "cf2-authentic", Tls.Concrete.prop_cf2_authentic ];
+  tls_check "tls sweep reduced" ~max_states:20_000 ~max_depth:5
+    ~reduction:(fun () -> Tls.Concrete.reduction tls)
+    [
+      "pms-secrecy", Tls.Concrete.prop_pms_secrecy tls;
+      "sf-authentic", Tls.Concrete.prop_sf_authentic;
+      "sf2-authentic", Tls.Concrete.prop_sf2_authentic;
+    ];
+  List.iter
+    (fun (name, scen, max_states, max_depth, props) ->
+      let nsys = Nspk.system scen in
+      let nspk_check name ?reduction props =
+        check name ~max_states ~max_depth ?reduction ~printed_key:Nspk.printed_key
+          ~pp:Nspk.pp_label nsys props
+      in
+      nspk_check (name ^ " unreduced") props;
+      nspk_check (name ^ " reduced") ~reduction:(fun () -> Nspk.reduction scen) props)
+    [
+      ( "nspk", Lazy.force nspk_scen_l, 20_000, 7,
+        [ "responder-agreement", Nspk.responder_agreement ] );
+      "nsl", Lazy.force nsl_scen_l, 5_000, 6, nsl_props;
+    ]
 
 (* Oops transitions have no symbolic counterpart, so POR must stay off
    for oops scenarios — the reduction degenerates to symmetry only. *)
@@ -455,6 +615,8 @@ let tests =
     "nspk attacks preserved", `Quick, test_nspk_attacks_preserved;
     "par_bfs agrees under reduction", `Quick, test_par_bfs_reduction_agrees;
     "canon idempotent", `Quick, test_canon_idempotent;
+    "searches match a reference keyed by printed keys", `Quick,
+    test_keys_against_printed_reference;
     "oops disables por", `Quick, test_oops_disables_por;
     "indep cert replays (nsl)", `Quick, test_indep_cert_replays_nsl;
     "indep cert replays (tls both styles)", `Quick, test_indep_cert_replays_tls;
